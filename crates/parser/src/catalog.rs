@@ -19,6 +19,7 @@ use crate::ast::{CreateGraph, CreateTable};
 use pgq_graph::{pg_view_exact, PropertyGraph, ViewMode, ViewRelations};
 use pgq_relational::{Database, Relation};
 use pgq_value::{Tuple, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -223,7 +224,9 @@ impl Catalog {
     }
 
     /// Materializes the six canonical relations of a graph from the base
-    /// tables stored in `db`.
+    /// tables stored in `db`. A table the catalog declares but `db`
+    /// holds no rows for yet reads as the empty relation of its
+    /// declared arity, so a graph can be defined before its data.
     pub fn view_relations(
         &self,
         graph: &str,
@@ -238,11 +241,11 @@ impl Catalog {
         let mut labels = Relation::empty(k + 1);
         let mut props = Relation::empty(k + 2);
 
-        let base = |table: &str| -> Result<(&Relation, Vec<String>), CatalogError> {
+        let base = |table: &str| -> Result<(Cow<'_, Relation>, Vec<String>), CatalogError> {
             let columns = self.table_columns(table)?.to_vec();
-            let rel = db
-                .get(&table.into())
-                .ok_or_else(|| CatalogError::UnknownTable(table.to_string()))?;
+            let Some(rel) = db.get(&table.into()) else {
+                return Ok((Cow::Owned(Relation::empty(columns.len())), columns));
+            };
             if rel.arity() != columns.len() {
                 return Err(CatalogError::TableArity {
                     table: table.to_string(),
@@ -250,7 +253,7 @@ impl Catalog {
                     stored: rel.arity(),
                 });
             }
-            Ok((rel, columns))
+            Ok((Cow::Borrowed(rel), columns))
         };
         // Graphs are validated against the tables at definition time,
         // but a table can be *redefined* afterwards with different
@@ -564,6 +567,25 @@ mod tests {
             cat.resolve_column("Transfers", "t_id").unwrap(),
             ColumnResolution::Component(1)
         );
+    }
+
+    #[test]
+    fn declared_table_without_rows_reads_as_empty() {
+        let (cat, _) = setup();
+        // Neither table has a relation in `db` yet: the graph is empty,
+        // not an `UnknownTable` error.
+        let rels = cat.view_relations("Transfers", &Database::new()).unwrap();
+        assert!(rels.nodes.is_empty() && rels.edges.is_empty());
+        assert_eq!(rels.src.arity(), 4);
+        let g = cat
+            .build_graph("Transfers", &Database::new(), ViewMode::Strict)
+            .unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (0, 0));
+        // Nodes present, edge table still missing: nodes only.
+        let mut db = Database::new();
+        db.insert("Account", tuple!["IL1"]).unwrap();
+        let g = cat.build_graph("Transfers", &db, ViewMode::Strict).unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (1, 0));
     }
 
     #[test]

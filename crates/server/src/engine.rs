@@ -1,30 +1,76 @@
-//! The shared query engine behind every connection: one serialized
-//! writer over a [`ConcurrentStore`], readers pinned to published
-//! [`StoreSnapshot`]s (ARCHITECTURE.md §2 step 11).
+//! The statement dispatcher behind both front doors — the TCP server
+//! ([`crate::server`]) and the `sqlpgq_shell` example — over one
+//! shared state: a single serialized writer on a [`ConcurrentStore`],
+//! and readers pinned to published [`StoreSnapshot`]s
+//! (ARCHITECTURE.md §2 step 11).
 //!
-//! The engine speaks the shell grammar (`examples/sqlpgq_shell.rs`):
-//! DDL and `GRAPH_TABLE` queries go through the real parser, row
-//! mutations / `STATS` / `METRICS` / `COMPACT` / `SET THREADS` /
-//! `SET PLANNER` are the shell's session commands. The concurrency discipline layered on
-//! top:
+//! # Statement grammar
 //!
-//! * the **base state** (live [`Database`] + parser [`Session`]
-//!   catalog) sits behind a mutex, held only while parsing/lowering a
-//!   statement or applying a mutation — never across query execution;
-//! * the **store** holds, per catalog graph `G`, the six canonical
-//!   view relations staged under reserved names (`⟨N:G⟩` … `⟨P:G⟩`)
-//!   plus the frozen view graph, maintained by the single serialized
-//!   writer and republished as an immutable snapshot after every
-//!   committed batch;
-//! * reads grab the current read view (an `Arc` swap), drop every
-//!   lock, and evaluate on the morsel-parallel coded pipeline against
-//!   their pinned snapshot — a concurrent writer or `COMPACT` never
-//!   perturbs an in-flight query.
+//! A script is a sequence of statements separated by `;`
+//! ([`split_statements`]; a `;` inside a single-quoted string does not
+//! split). [`Engine::statement`] runs one statement and answers with
+//! lines: `-- ` for headers and notes, `!! ` for a typed error, and
+//! bare lines for result rows. Keywords are case-insensitive.
+//!
+//! * `CREATE TABLE t (c, …)` and `CREATE PROPERTY GRAPH g (…)` — DDL
+//!   through the SQL/PGQ parser. A new graph is staged into the store
+//!   at once; a declared table with no rows yet reads as empty.
+//! * `SELECT * FROM GRAPH_TABLE (g MATCH … [WHERE …] RETURN (…))` —
+//!   a read, answered `-- n row(s)` and then the rows.
+//! * `EXPLAIN SELECT …` — the physical plan the read would run
+//!   (operator tree, pattern route, `⟨coded⟩` / `⟨delta⟩` /
+//!   `⟨dop≤n⟩` markers), without running it.
+//! * `EXPLAIN ANALYZE SELECT …` — runs the read with per-operator
+//!   metrics and prints the profile tree: rows in/out, wall time,
+//!   degree of parallelism, hash-join build sizes, fixpoint iterations
+//!   with per-round Δ sizes. The non-timing fields are the same at
+//!   every `SET THREADS` value.
+//! * `INSERT INTO t VALUES (v, …)` and `DELETE FROM t VALUES (v, …)` —
+//!   row mutations (the formal model is read-only; Section 7
+//!   "Updates"). Literals are integers, `true`/`false` and
+//!   single-quoted strings. Every graph over `t` is restaged.
+//! * `STATS` / `STATS JSON` — the served store's layout (dictionary
+//!   residency, overlays, tombstones, resident bytes by component, the
+//!   last compaction, per-relation and per-graph sizes) followed by
+//!   the planner statistics (per-column distinct counts,
+//!   live/tombstoned rows, degree histograms).
+//! * `METRICS` / `METRICS JSON` / `METRICS RESET` — the store's
+//!   cumulative access counters: IndexScan rows, CSR neighbor and
+//!   sweep reads, overlay vs dense adjacency reads, dictionary
+//!   decodes, writer probes.
+//! * `COMPACT` — folds overlays, drops tombstones and rebuilds the
+//!   dictionary, as a snapshot swap.
+//! * `SET THREADS n` — executor workers for this session (`0` is the
+//!   `PGQ_THREADS` / machine default). Answers are the same at every
+//!   setting.
+//! * `SET PLANNER cost|rule` — the statistics-driven cost-based
+//!   lowering (the default) or the fixed rule-based rewrite. Answers
+//!   are the same under both.
+//!
+//! # Concurrency
+//!
+//! * The **base state** (live [`Database`] plus the parser catalog)
+//!   sits behind a mutex, held only while lowering a read or applying
+//!   DDL or a mutation — never while a query runs.
+//! * The **store** holds, per catalog graph `G`, the six canonical view
+//!   relations under reserved names (`⟨N:G⟩` … `⟨P:G⟩`) plus the
+//!   frozen view graph. The single writer maintains them and
+//!   republishes an immutable snapshot after every committed batch,
+//!   paired with the staged-graph map as one read view. Publication
+//!   happens under the base lock, so two writers cannot interleave
+//!   their swaps.
+//! * Every read — `SELECT`, `EXPLAIN`, `EXPLAIN ANALYZE` — takes one
+//!   route: lower under the base lock, release it, pin the read view,
+//!   look up the graph, then run plain, explained or profiled against
+//!   the pinned snapshot. A graph that failed to stage answers the
+//!   error its staging recorded. A concurrent writer or `COMPACT`
+//!   never perturbs an in-flight read.
 
 use pgq_core::{eval_with_snapshot, eval_with_snapshot_profiled, EvalConfig, Query};
-use pgq_exec::PlannerChoice;
-use pgq_parser::{lower_query, parse_statement, Outcome, Session, Statement};
-use pgq_relational::{Database, RelName, Relation};
+use pgq_exec::{ExecOptions, PlannerChoice};
+use pgq_parser::ast::{CreateGraph, GraphQuery};
+use pgq_parser::{lower_query, parse_statement, Catalog, Statement};
+use pgq_relational::{Database, RelName};
 use pgq_store::{
     AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
     StoreStatistics, StoreStats,
@@ -50,25 +96,37 @@ pub struct SessionState {
 struct GraphView {
     names: [RelName; 6],
     k: usize,
-    /// The staged relations as a database — the schema/fallback side
-    /// of evaluation (the store side lives in the published snapshot).
+    /// The staged relations as a database — the `db` side of
+    /// evaluation (the store side lives in the published snapshot).
     db: Database,
 }
 
-/// An immutable read configuration: a pinned store snapshot plus the
-/// staged graphs that snapshot serves. Swapped atomically as one
-/// `Arc` — a reader's snapshot and graph map always agree.
+/// An immutable read configuration: a pinned store snapshot plus every
+/// catalog graph, staged or with the error its staging raised. Swapped
+/// atomically as one `Arc` — a reader's snapshot and graph map always
+/// agree.
 #[derive(Debug)]
 struct ReadView {
     snap: StoreSnapshot,
-    graphs: BTreeMap<String, GraphView>,
+    graphs: BTreeMap<String, Result<GraphView, String>>,
 }
 
 /// The protected base state: live rows plus the parser catalog.
 #[derive(Debug, Default)]
 struct BaseState {
     db: Database,
-    session: Session,
+    catalog: Catalog,
+}
+
+/// What a read does with its staged graph.
+#[derive(Debug, Clone, Copy)]
+enum ReadKind {
+    /// `SELECT …` — the rows.
+    Run,
+    /// `EXPLAIN SELECT …` — the physical plan.
+    Explain,
+    /// `EXPLAIN ANALYZE SELECT …` — the profile tree.
+    Analyze,
 }
 
 /// The shared engine — one per server process, `Arc`-shared across
@@ -91,6 +149,18 @@ fn staged_names(g: &str) -> [RelName; 6] {
     ["N", "E", "S", "T", "L", "P"].map(|c| RelName::new(format!("⟨{c}:{g}⟩")))
 }
 
+/// Response lines for a result or its typed error.
+fn reply(result: Result<Vec<String>, String>) -> Vec<String> {
+    result.unwrap_or_else(|e| vec![format!("!! {e}")])
+}
+
+/// A `-- head` line followed by `text` indented as a block.
+fn block(head: &str, text: &str) -> Vec<String> {
+    let mut lines = vec![format!("-- {head}")];
+    lines.extend(text.lines().map(|l| format!("   {l}")));
+    lines
+}
+
 impl Engine {
     /// An empty engine: no tables, no graphs, an empty published
     /// snapshot.
@@ -107,9 +177,8 @@ impl Engine {
         }
     }
 
-    /// Executes one shell-grammar statement (no trailing `;`) and
-    /// returns the response lines — the same `-- ` / `!! ` / bare-row
-    /// conventions the shell prints.
+    /// Executes one statement of the module's grammar (no trailing `;`)
+    /// and returns the response lines.
     pub fn statement(&self, conn: &mut SessionState, stmt: &str) -> Vec<String> {
         let stmt = stmt.trim();
         if stmt.is_empty() {
@@ -117,10 +186,7 @@ impl Engine {
         }
         let upper = stmt.to_ascii_uppercase();
         if upper.starts_with("INSERT INTO") || upper.starts_with("DELETE FROM") {
-            return match self.mutate(stmt) {
-                Ok(text) => vec![format!("-- {text}")],
-                Err(e) => vec![format!("!! {e}")],
-            };
+            return reply(self.mutate(stmt).map(|text| vec![format!("-- {text}")]));
         }
         if upper == "STATS" || upper.starts_with("STATS ") {
             return self.stats(stmt["STATS".len()..].trim());
@@ -129,16 +195,16 @@ impl Engine {
             return self.metrics(stmt["METRICS".len()..].trim());
         }
         if upper == "COMPACT" {
-            return match self.compact() {
-                Ok(effect) => vec![format!("-- compacted: {effect}")],
-                Err(e) => vec![format!("!! {e}")],
-            };
+            return reply(
+                self.compact()
+                    .map(|effect| vec![format!("-- compacted: {effect}")]),
+            );
         }
         if upper.starts_with("SET THREADS") {
             return match stmt["SET THREADS".len()..].trim().parse::<usize>() {
                 Ok(n) => {
                     conn.threads = n;
-                    let resolved = pgq_exec::ExecOptions::with_threads(n).threads;
+                    let resolved = ExecOptions::with_threads(n).threads;
                     vec![format!(
                         "-- threads set to {n} (executor runs {resolved} worker(s))"
                     )]
@@ -155,74 +221,92 @@ impl Engine {
                 None => vec!["!! SET PLANNER needs cost or rule".into()],
             };
         }
-        if let Some((inner, analyze)) = strip_explain(stmt) {
-            let result = if analyze {
-                self.explain_analyze(conn, inner)
-                    .map(|t| ("query profile", t))
-            } else {
-                self.explain(conn, inner).map(|t| ("physical plan", t))
-            };
-            return match result {
-                Ok((head, text)) => {
-                    let mut lines = vec![format!("-- {head}")];
-                    lines.extend(text.lines().map(|l| format!("   {l}")));
-                    lines
-                }
-                Err(e) => vec![format!("!! {e}")],
-            };
+        let (inner, kind) = match strip_keyword(stmt, "EXPLAIN") {
+            Some(rest) => match strip_keyword(rest, "ANALYZE") {
+                Some(inner) => (inner, ReadKind::Analyze),
+                None => (rest, ReadKind::Explain),
+            },
+            None => (stmt, ReadKind::Run),
+        };
+        match parse_statement(&format!("{inner};")) {
+            Err(e) => vec![format!("!! {e}")],
+            Ok(Statement::GraphQuery(gq)) => reply(self.read(conn, &gq, kind)),
+            Ok(_) if !matches!(kind, ReadKind::Run) => {
+                vec!["!! expected a GRAPH_TABLE query".into()]
+            }
+            Ok(Statement::CreateTable(ct)) => {
+                self.lock_base().catalog.define_table(&ct);
+                vec![format!("-- table {} defined", ct.name)]
+            }
+            Ok(Statement::CreateGraph(cg)) => reply(self.define_graph(&cg)),
         }
-        if upper.starts_with("SELECT") {
-            return match self.select(conn, stmt) {
-                Ok(rows) => {
-                    let mut lines = vec![format!("-- {} row(s)", rows.len())];
-                    lines.extend(rows.iter().map(|row| row.to_string()));
-                    lines
-                }
-                Err(e) => vec![format!("!! {e}")],
-            };
-        }
-        self.script(stmt)
     }
 
-    /// A whole script (`;`-separated statements) through one session
-    /// state — the oracle entry point the load generator's divergence
-    /// check replays transcripts against.
-    pub fn script(&self, stmt: &str) -> Vec<String> {
-        // Only reached for DDL (everything else is dispatched above);
-        // public because a `;`-joined DDL batch is the natural setup
-        // call for embedders and tests.
-        let mut lines = Vec::new();
-        let mut defined: Vec<String> = Vec::new();
-        {
-            let mut base = self.lock_base();
-            let BaseState { db, session } = &mut *base;
-            match session.run_script(&format!("{stmt};"), db) {
-                Ok(outcomes) => {
-                    for outcome in outcomes {
-                        match outcome {
-                            Outcome::TableDefined(n) => lines.push(format!("-- table {n} defined")),
-                            Outcome::GraphDefined(n) => {
-                                lines.push(format!("-- property graph {n} defined"));
-                                defined.push(n);
-                            }
-                            Outcome::Rows(rows) => {
-                                lines.push(format!("-- {} row(s)", rows.len()));
-                                lines.extend(rows.iter().map(|row| row.to_string()));
-                            }
-                        }
-                    }
-                }
-                Err(e) => lines.push(format!("!! {e}")),
+    /// The single read route. Lowers under a brief base lock, then pins
+    /// the [`ReadView`] and answers from it alone: the staged graph's
+    /// rows, plan or profile, or the error its staging recorded.
+    fn read(
+        &self,
+        conn: &SessionState,
+        gq: &GraphQuery,
+        kind: ReadKind,
+    ) -> Result<Vec<String>, String> {
+        let out = {
+            let base = self.lock_base();
+            let catalog = &base.catalog;
+            let out = lower_query(gq, catalog).map_err(|e| e.to_string())?;
+            // Rejects a graph the catalog does not know by name.
+            catalog.id_arity(&gq.graph).map_err(|e| e.to_string())?;
+            out
+        };
+        let view = self.pin_view();
+        let gv = match view.graphs.get(&gq.graph) {
+            Some(staged) => staged.as_ref().map_err(Clone::clone)?,
+            None => return Err(format!("graph {} is not staged", gq.graph)),
+        };
+        let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
+        let cfg = EvalConfig::physical()
+            .with_threads(conn.threads)
+            .with_planner(conn.planner);
+        let err = |e: pgq_core::QueryError| e.to_string();
+        Ok(match kind {
+            ReadKind::Run => {
+                let rows = eval_with_snapshot(&q, &gv.db, cfg, &view.snap).map_err(err)?;
+                let mut lines = vec![format!("-- {} row(s)", rows.len())];
+                lines.extend(rows.iter().map(|row| row.to_string()));
+                lines
             }
-            if !defined.is_empty() {
-                let mut note = String::new();
-                self.restage(&base, &defined, &mut note);
-                if !note.is_empty() {
-                    lines.push(format!("-- staging{note}"));
-                }
+            ReadKind::Explain => {
+                let opts = ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
+                let text = pgq_core::explain_with_exec_opts(
+                    &q,
+                    &gv.db.schema(),
+                    Some(view.snap.as_store()),
+                    opts,
+                )
+                .map_err(err)?;
+                block("physical plan", &text)
             }
+            ReadKind::Analyze => {
+                let (_rel, profile) =
+                    eval_with_snapshot_profiled(&q, &gv.db, cfg, &view.snap).map_err(err)?;
+                block("query profile", &profile.render(true))
+            }
+        })
+    }
+
+    /// `CREATE PROPERTY GRAPH`: validated against the catalog, then
+    /// staged before the base lock drops.
+    fn define_graph(&self, cg: &CreateGraph) -> Result<Vec<String>, String> {
+        let mut base = self.lock_base();
+        base.catalog.define_graph(cg).map_err(|e| e.to_string())?;
+        let mut lines = vec![format!("-- property graph {} defined", cg.name)];
+        let mut note = String::new();
+        self.restage(&base, std::slice::from_ref(&cg.name), &mut note);
+        if !note.is_empty() {
+            lines.push(format!("-- staging{note}"));
         }
-        lines
+        Ok(lines)
     }
 
     /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`:
@@ -231,14 +315,16 @@ impl Engine {
     /// publishes the new snapshot.
     fn mutate(&self, stmt: &str) -> Result<String, String> {
         let delete = stmt.to_ascii_uppercase().starts_with("DELETE FROM");
-        let open = stmt.find('(').ok_or("mutation needs VALUES (…)")?;
-        let close = stmt.rfind(')').ok_or("mutation needs a closing paren")?;
         let table = stmt["INSERT INTO".len()..] // both prefixes have length 11
             .split_whitespace()
             .next()
             .ok_or("mutation needs a table name")?
             .to_string();
-        let values: Vec<Value> = stmt[open + 1..close]
+        let (_, rest) = stmt.split_once('(').ok_or("mutation needs VALUES (…)")?;
+        let (values, _) = rest
+            .rsplit_once(')')
+            .ok_or("mutation needs a closing paren")?;
+        let values: Vec<Value> = values
             .split(',')
             .map(|v| parse_value(v.trim()))
             .collect::<Result<_, _>>()?;
@@ -252,11 +338,10 @@ impl Engine {
                 .map_err(|e| e.to_string())?
         };
         let affected: Vec<String> = base
-            .session
             .catalog
             .graph_names()
             .filter(|g| {
-                base.session.catalog.graph(g).is_ok_and(|cg| {
+                base.catalog.graph(g).is_ok_and(|cg| {
                     cg.node_tables.iter().any(|nt| nt.table == table)
                         || cg.edge_tables.iter().any(|et| et.table == table)
                 })
@@ -276,10 +361,10 @@ impl Engine {
 
     /// Re-stages the named catalog graphs from the current base state
     /// through one serialized writer batch, then publishes the new
-    /// snapshot + graph map as an atomic [`ReadView`] swap. Staging
-    /// failures (a graph whose view became invalid, a table with no
-    /// rows yet) drop the graph from the read view with a note —
-    /// queries on it fall back to per-query evaluation.
+    /// snapshot + graph map as an atomic [`ReadView`] swap. A graph
+    /// that fails to stage (its view became invalid) is dropped from
+    /// the store; the read view keeps its error, which every read of
+    /// it answers, and `note` gets a line.
     ///
     /// Caller holds the base lock, which also serializes publication:
     /// two writers cannot interleave their view swaps.
@@ -287,58 +372,41 @@ impl Engine {
         if graphs.is_empty() {
             return;
         }
-        let mut staged: Vec<(String, Option<GraphView>)> = Vec::new();
-        for g in graphs {
-            match stage_graph(&base.session, &base.db, g) {
-                Ok(gv) => staged.push((g.clone(), Some(gv))),
-                Err(e) => {
-                    note.push_str(&format!("; graph {g} unstaged: {e}"));
-                    staged.push((g.clone(), None));
-                }
-            }
-        }
+        let staged: Vec<(String, Result<GraphView, String>)> = graphs
+            .iter()
+            .map(|g| (g.clone(), stage_graph(&base.catalog, &base.db, g)))
+            .collect();
         let installed = self
             .store
-            .write(
-                |s| -> Result<Vec<(String, Option<GraphView>)>, Infallible> {
-                    let mut out = Vec::with_capacity(staged.len());
-                    for (g, gv) in staged {
-                        match gv {
-                            Some(gv) => match install_graph(s, &g, &gv) {
-                                Ok(()) => out.push((g, Some(gv))),
-                                Err(e) => {
-                                    s.drop_graph(&g);
-                                    note.push_str(&format!("; graph {g} unstaged: {e}"));
-                                    out.push((g, None));
-                                }
-                            },
-                            None => {
-                                s.drop_graph(&g);
-                                out.push((g, None));
-                            }
+            .write(|s| -> Result<Vec<_>, Infallible> {
+                Ok(staged
+                    .into_iter()
+                    .map(|(g, gv)| {
+                        let gv = gv.and_then(|gv| {
+                            install_graph(s, &g, &gv).map_err(|e| e.to_string())?;
+                            Ok(gv)
+                        });
+                        if gv.is_err() {
+                            s.drop_graph(&g);
                         }
-                    }
-                    Ok(out)
-                },
-            )
+                        (g, gv)
+                    })
+                    .collect())
+            })
             .unwrap_or_else(|e| match e {});
         let mut map = self.pin_view().graphs.clone();
         for (g, gv) in installed {
-            match gv {
-                Some(gv) => {
-                    map.insert(g, gv);
-                }
-                None => {
-                    map.remove(&g);
-                }
+            if let Err(e) = &gv {
+                note.push_str(&format!("; graph {g} unstaged: {e}"));
             }
+            map.insert(g, gv);
         }
         self.publish(map);
     }
 
     /// Swaps in a new [`ReadView`] pairing the latest published
-    /// snapshot with `graphs`.
-    fn publish(&self, graphs: BTreeMap<String, GraphView>) {
+    /// snapshot with `graphs`. Callers hold the base lock.
+    fn publish(&self, graphs: BTreeMap<String, Result<GraphView, String>>) {
         let snap = self.store.pin();
         *self.view.write().unwrap_or_else(PoisonError::into_inner) =
             Arc::new(ReadView { snap, graphs });
@@ -358,99 +426,6 @@ impl Engine {
         self.base.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs a `GRAPH_TABLE` query: parse/lower under the base lock,
-    /// then evaluate lock-free against the pinned [`ReadView`].
-    fn select(&self, conn: &SessionState, stmt: &str) -> Result<Relation, String> {
-        let (graph, out, k) = self.lower(stmt)?;
-        let view = self.pin_view();
-        let cfg = EvalConfig::physical()
-            .with_threads(conn.threads)
-            .with_planner(conn.planner);
-        if let Some(gv) = view.graphs.get(&graph) {
-            let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
-            return eval_with_snapshot(&q, &gv.db, cfg, &view.snap).map_err(|e| e.to_string());
-        }
-        // Not staged (invalid view or empty tables): per-query scratch
-        // evaluation under the base lock, exactly the shell's route.
-        let base = self.lock_base();
-        let gv = stage_graph(&base.session, &base.db, &graph)?;
-        let mut scratch = Store::from_database(&gv.db);
-        let _ = scratch.register_view_graph(
-            graph.clone(),
-            gv.names.clone(),
-            &gv.db,
-            GraphForm::Bounded(gv.k),
-        );
-        let q = Query::pattern_n(k, out, gv.names.clone().map(Query::rel));
-        let rel =
-            pgq_core::eval_with_store(&q, &gv.db, cfg, &scratch).map_err(|e| e.to_string())?;
-        // Fold the scratch run's access counters into the shared ones
-        // so METRICS stays session-cumulative.
-        self.store
-            .pin()
-            .counters()
-            .absorb(&scratch.counters().snapshot());
-        Ok(rel)
-    }
-
-    /// `EXPLAIN SELECT …` — the plan against the pinned snapshot.
-    fn explain(&self, conn: &SessionState, inner: &str) -> Result<String, String> {
-        let (graph, out, k) = self.lower(inner)?;
-        let view = self.pin_view();
-        let opts = pgq_exec::ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
-        if let Some(gv) = view.graphs.get(&graph) {
-            let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
-            return pgq_core::explain_with_exec_opts(
-                &q,
-                &gv.db.schema(),
-                Some(view.snap.as_store()),
-                opts,
-            )
-            .map_err(|e| e.to_string());
-        }
-        let base = self.lock_base();
-        let gv = stage_graph(&base.session, &base.db, &graph)?;
-        let scratch = Store::from_database(&gv.db);
-        let q = Query::pattern_n(k, out, gv.names.clone().map(Query::rel));
-        pgq_core::explain_with_exec_opts(&q, &gv.db.schema(), Some(&scratch), opts)
-            .map_err(|e| e.to_string())
-    }
-
-    /// `EXPLAIN ANALYZE SELECT …` — runs on the pinned snapshot with
-    /// per-operator metrics and renders the profile tree.
-    fn explain_analyze(&self, conn: &SessionState, inner: &str) -> Result<String, String> {
-        let (graph, out, _) = self.lower(inner)?;
-        let view = self.pin_view();
-        let cfg = EvalConfig::physical()
-            .with_threads(conn.threads)
-            .with_planner(conn.planner);
-        let gv = view
-            .graphs
-            .get(&graph)
-            .ok_or_else(|| format!("graph {graph} is not staged (no rows yet?)"))?;
-        let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
-        let (_rel, profile) =
-            eval_with_snapshot_profiled(&q, &gv.db, cfg, &view.snap).map_err(|e| e.to_string())?;
-        Ok(profile.render(true))
-    }
-
-    /// Parses and lowers a `GRAPH_TABLE` statement under a brief base
-    /// lock. Returns `(graph name, lowered output pattern, id arity)`.
-    fn lower(&self, stmt: &str) -> Result<(String, pgq_pattern::OutputPattern, usize), String> {
-        let parsed = parse_statement(&format!("{stmt};")).map_err(|e| e.to_string())?;
-        let Statement::GraphQuery(gq) = parsed else {
-            return Err("expected a GRAPH_TABLE query".to_string());
-        };
-        let base = self.lock_base();
-        let out = lower_query(&gq, &base.session.catalog).map_err(|e| e.to_string())?;
-        let k = base
-            .session
-            .catalog
-            .id_arity(&gq.graph)
-            .map_err(|e| e.to_string())?;
-        Ok((gq.graph.clone(), out, k))
-    }
-
     fn stats(&self, arg: &str) -> Vec<String> {
         if !arg.is_empty() && !arg.eq_ignore_ascii_case("JSON") {
             return vec!["!! STATS takes no argument or JSON".into()];
@@ -462,10 +437,8 @@ impl Engine {
         // against one published view recompute nothing.
         let statistics = view.snap.as_store().statistics();
         if arg.is_empty() {
-            let mut lines = vec!["-- store layout".to_string()];
-            lines.extend(stats.to_string().lines().map(|l| format!("   {l}")));
-            lines.push("-- planner statistics".to_string());
-            lines.extend(statistics.to_string().lines().map(|l| format!("   {l}")));
+            let mut lines = block("store layout", &stats.to_string());
+            lines.extend(block("planner statistics", &statistics.to_string()));
             lines
         } else {
             stats_json(&stats, &statistics)
@@ -476,14 +449,18 @@ impl Engine {
     }
 
     fn metrics(&self, arg: &str) -> Vec<String> {
-        let counters = self.pin_view().snap.counters().snapshot();
+        let view = self.pin_view();
+        let counters = view.snap.counters();
         if arg.eq_ignore_ascii_case("RESET") {
-            self.pin_view().snap.counters().reset();
+            counters.reset();
             vec!["-- store access counters reset".into()]
         } else if arg.eq_ignore_ascii_case("JSON") {
-            metrics_json(&counters).lines().map(String::from).collect()
+            metrics_json(&counters.snapshot())
+                .lines()
+                .map(String::from)
+                .collect()
         } else if arg.is_empty() {
-            let text = counters.to_string();
+            let text = counters.snapshot().to_string();
             let mut lines = Vec::new();
             let mut it = text.lines();
             if let Some(head) = it.next() {
@@ -497,26 +474,23 @@ impl Engine {
     }
 
     /// `COMPACT;` as a snapshot swap: the writer rebuilds dictionary
-    /// and indexes, publishes, and the read view re-pins — readers on
-    /// the old snapshot keep decoding through their pinned dictionary.
+    /// and indexes, and the read view re-pins before the base lock
+    /// drops — a writer queued on that lock publishes after, never
+    /// under, the pre-compaction graph map. Readers on the old
+    /// snapshot keep decoding through their pinned dictionary.
     fn compact(&self) -> Result<pgq_store::CompactionStats, String> {
-        let base = self.lock_base();
+        let _base = self.lock_base();
         let stats = self.store.compact().map_err(|e| e.to_string())?;
-        let map = self.pin_view().graphs.clone();
-        drop(base);
-        self.publish(map);
+        self.publish(self.pin_view().graphs.clone());
         Ok(stats)
     }
 }
 
 /// Builds the staged database + reserved names for catalog graph `g`
 /// from the live base state.
-fn stage_graph(session: &Session, db: &Database, g: &str) -> Result<GraphView, String> {
-    let rels = session
-        .catalog
-        .view_relations(g, db)
-        .map_err(|e| e.to_string())?;
-    let k = session.catalog.id_arity(g).map_err(|e| e.to_string())?;
+fn stage_graph(catalog: &Catalog, db: &Database, g: &str) -> Result<GraphView, String> {
+    let rels = catalog.view_relations(g, db).map_err(|e| e.to_string())?;
+    let k = catalog.id_arity(g).map_err(|e| e.to_string())?;
     let names = staged_names(g);
     let mut sdb = Database::new();
     for (name, rel) in names.clone().into_iter().zip([
@@ -547,25 +521,18 @@ fn install_graph(s: &mut Store, g: &str, gv: &GraphView) -> Result<(), pgq_store
     s.register_view_graph(g, gv.names.clone(), &gv.db, GraphForm::Bounded(gv.k))
 }
 
-/// `EXPLAIN [ANALYZE] <statement>` → inner statement + ANALYZE flag.
-fn strip_explain(stmt: &str) -> Option<(&str, bool)> {
-    let rest = strip_keyword(stmt, "EXPLAIN")?;
-    if let Some(inner) = strip_keyword(rest, "ANALYZE") {
-        return Some((inner, true));
-    }
-    Some((rest, false))
-}
-
+/// Strips a leading case-insensitive whole-word keyword, returning the
+/// trimmed remainder (`EXPLAINED …` does not start with `EXPLAIN`).
 fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
-    if s.len() <= kw.len() || !s[..kw.len()].eq_ignore_ascii_case(kw) {
-        return None;
-    }
-    let rest = &s[kw.len()..];
+    let rest = s
+        .get(..kw.len())
+        .filter(|head| head.eq_ignore_ascii_case(kw))
+        .map(|_| &s[kw.len()..])?;
     rest.starts_with(char::is_whitespace)
         .then(|| rest.trim_start())
 }
 
-/// Shell literal syntax: integers, booleans, single-quoted strings.
+/// Literal syntax: integers, booleans, single-quoted strings.
 fn parse_value(v: &str) -> Result<Value, String> {
     if let Some(stripped) = v.strip_prefix('\'') {
         return Ok(Value::str(stripped.trim_end_matches('\'')));
@@ -582,7 +549,7 @@ fn parse_value(v: &str) -> Result<Value, String> {
 }
 
 /// Splits a script on `;` while respecting single-quoted strings —
-/// the shell's statement splitter, reused by the line protocol.
+/// the statement splitter of the shell and the line protocol.
 pub fn split_statements(script: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut current = String::new();

@@ -2,10 +2,12 @@
 //!
 //! The front door (PR 8; ROADMAP open item 2): a threaded TCP
 //! line-protocol server over the concurrent snapshot store, serving
-//! the shell grammar to any number of simultaneous sessions.
+//! the statement grammar of [`engine`] to any number of simultaneous
+//! sessions.
 //!
-//! * [`Engine`] — the shared state machine: parser catalog + live
-//!   rows behind a mutex, staged view graphs inside a
+//! * [`Engine`] — the one statement dispatcher, shared with the
+//!   `sqlpgq_shell` example: parser catalog + live rows behind a
+//!   mutex, staged view graphs inside a
 //!   [`pgq_store::ConcurrentStore`], reads pinned to published
 //!   [`pgq_store::StoreSnapshot`]s and evaluated lock-free on the
 //!   morsel-parallel coded pipeline;

@@ -4,9 +4,10 @@
 //! Wire format (UTF-8 text, newline-framed):
 //!
 //! * on connect the server sends a greeting line, then a lone `.`;
-//! * the client sends **one line per request** — a shell-grammar
-//!   statement, a `;`-separated batch of them, or `QUIT`;
-//! * the server answers with zero or more response lines (the shell's
+//! * the client sends **one line per request** — a statement of the
+//!   [`crate::engine`] grammar, a `;`-separated batch of them, or
+//!   `QUIT`;
+//! * the server answers with zero or more response lines (the engine's
 //!   `-- ` / `!! ` / bare-row conventions) terminated by a lone `.`;
 //! * protocol-level failures (a line longer than [`MAX_LINE`], bytes
 //!   that are not valid UTF-8) produce a typed `!! protocol: …`

@@ -213,6 +213,15 @@ fn malformed_inputs_return_typed_errors_and_server_survives() {
         .request("INSERT INTO Account 'oops'")
         .expect("bad insert");
     assert!(resp[0].starts_with("!! "), "{resp:?}");
+    // A close paren before the open one → typed error, not a slice
+    // panic that would kill the connection thread.
+    let resp = client
+        .request("INSERT INTO Account VALUES )(")
+        .expect("reversed parens");
+    assert!(resp[0].starts_with("!! "), "{resp:?}");
+    // A multi-byte character where a keyword boundary would fall.
+    let resp = client.request("EXPLAIé SELECT 1").expect("utf-8 keyword");
+    assert!(resp[0].starts_with("!! "), "{resp:?}");
     // Query on an unknown graph → typed error, not a hang or panic.
     let resp = client
         .request("SELECT * FROM GRAPH_TABLE (Nope MATCH (x) RETURN (x.iban))")
@@ -349,5 +358,122 @@ fn writer_and_readers_interleave_without_divergence() {
     }
     feed(QUERY);
     assert_eq!(final_rows, expected, "server diverged from oracle");
+    server.stop();
+}
+
+#[test]
+fn graph_over_declared_tables_answers_before_and_after_rows() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 0);
+    let resp = client.request(QUERY).expect("query on empty tables");
+    assert_eq!(resp, ["-- 0 row(s)"]);
+    let resp = client
+        .request(&format!("EXPLAIN ANALYZE {QUERY}"))
+        .expect("analyze");
+    assert_eq!(resp[0], "-- query profile", "{resp:?}");
+    for stmt in [
+        "INSERT INTO Account VALUES ('A0')",
+        "INSERT INTO Account VALUES ('A1')",
+        "INSERT INTO Transfer VALUES (0, 'A0', 'A1', 100, 500)",
+    ] {
+        let resp = client.request(stmt).expect("insert");
+        assert_eq!(resp.len(), 1, "staging note: {resp:?}");
+    }
+    let resp = client.request(QUERY).expect("query after inserts");
+    assert_eq!(resp, ["-- 1 row(s)", "(\"A0\", \"A1\")"]);
+    server.stop();
+}
+
+#[test]
+fn every_read_kind_answers_the_recorded_staging_error() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 3);
+    // An edge to a node that does not exist makes the view invalid.
+    let resp = client
+        .request("INSERT INTO Transfer VALUES (9, 'A0', 'GHOST', 1, 900)")
+        .expect("dangling insert");
+    assert!(
+        resp[0].contains("graph Transfers unstaged: invalid graph view"),
+        "{resp:?}"
+    );
+    let select = client.request(QUERY).expect("select");
+    let explain = client
+        .request(&format!("EXPLAIN {QUERY}"))
+        .expect("explain");
+    let analyze = client
+        .request(&format!("EXPLAIN ANALYZE {QUERY}"))
+        .expect("analyze");
+    assert_eq!(select.len(), 1, "{select:?}");
+    assert!(select[0].starts_with("!! invalid graph view"), "{select:?}");
+    assert_eq!(explain, select, "EXPLAIN disagrees with SELECT");
+    assert_eq!(analyze, select, "EXPLAIN ANALYZE disagrees with SELECT");
+    // The node the edge points at arrives: the view is valid again and
+    // all three read kinds answer.
+    let resp = client
+        .request("INSERT INTO Account VALUES ('GHOST')")
+        .expect("fixing insert");
+    assert_eq!(resp, ["-- inserted into Account"]);
+    let select = client.request(QUERY).expect("select");
+    assert_eq!(select[0], "-- 4 row(s)", "{select:?}");
+    let explain = client
+        .request(&format!("EXPLAIN {QUERY}"))
+        .expect("explain");
+    assert_eq!(explain[0], "-- physical plan", "{explain:?}");
+    let analyze = client
+        .request(&format!("EXPLAIN ANALYZE {QUERY}"))
+        .expect("analyze");
+    assert_eq!(analyze[0], "-- query profile", "{analyze:?}");
+    server.stop();
+}
+
+#[test]
+fn compaction_alongside_ddl_and_writes_loses_no_graph() {
+    const GRAPHS: usize = 24;
+    let server = start_server();
+    let addr = server.addr();
+    let mut setup = Client::connect(addr).expect("connect");
+    load_demo(&mut setup, 3);
+
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let compactor = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect compactor");
+            let mut runs = 0usize;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) || runs == 0 {
+                let resp = client.request("COMPACT").expect("compact");
+                assert!(resp[0].starts_with("-- compacted:"), "{resp:?}");
+                runs += 1;
+            }
+            runs
+        })
+    };
+    // Each new graph is defined, then written through, while COMPACT
+    // swaps snapshots on the other connection.
+    for g in 0..GRAPHS {
+        let ddl = GRAPH_DDL.replace("Transfers", &format!("G{g}"));
+        let resp = setup.request(&ddl).expect("define graph");
+        assert_eq!(resp, [format!("-- property graph G{g} defined")]);
+        let resp = setup
+            .request(&format!("INSERT INTO Account VALUES ('B{g}')"))
+            .expect("insert");
+        assert!(resp[0].starts_with("-- inserted into Account"), "{resp:?}");
+    }
+    done.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert!(compactor.join().expect("compactor thread") > 0);
+
+    let expected = setup.request(QUERY).expect("oracle read");
+    assert_eq!(expected[0], "-- 3 row(s)", "{expected:?}");
+    for g in 0..GRAPHS {
+        let query = QUERY.replace("Transfers", &format!("G{g}"));
+        let resp = setup.request(&query).expect("select");
+        assert_eq!(resp, expected, "graph G{g} diverged");
+        let resp = setup
+            .request(&format!("EXPLAIN ANALYZE {query}"))
+            .expect("analyze");
+        assert_eq!(resp[0], "-- query profile", "graph G{g}: {resp:?}");
+    }
     server.stop();
 }
