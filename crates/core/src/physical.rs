@@ -22,6 +22,7 @@ use pgq_relational::{Database, Relation, Schema};
 use pgq_store::{GraphForm, Store};
 use pgq_value::Var;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// The executor options a configuration resolves to (`0` = the
 /// environment default).
@@ -65,10 +66,11 @@ pub fn view_form(op: ViewOp) -> GraphForm {
 /// Evaluates a query through the physical engine backed by a session
 /// [`Store`] (substrate S16): base scans run on columnar indexes,
 /// dictionary codes flow through the whole operator pipeline (decoding
-/// exactly once at the set-semantics boundary), and reachability
-/// pattern calls over graphs registered in the store are answered from
-/// their frozen CSR adjacency (read through any update overlay) — no
-/// per-query view rebuild, no hash-join fixpoint. The store must agree
+/// exactly once at the set-semantics boundary), and pattern calls over
+/// graphs registered in the store need no per-query view rebuild:
+/// reachability is answered from their frozen CSR adjacency (read
+/// through any update overlay), every other output is matched against
+/// the view graph the store retains. The store must agree
 /// with `db`: registered from it, then kept in step by re-registration
 /// or by the incremental update path (`Store::apply_updates` and the
 /// row-level mutators).
@@ -93,10 +95,11 @@ pub(crate) fn eval_physical_store(
 }
 
 /// A pattern call on the store route. When the six views are plain
-/// base relations matching a graph frozen in the store, reachability
-/// outputs are answered from its CSR index directly — the view was
-/// validated once at registration, so nothing is rebuilt. Everything
-/// else falls back to the per-query physical route.
+/// base relations matching a graph frozen in the store, nothing is
+/// rebuilt: the view was validated once at registration, so bare
+/// reachability outputs are answered from its CSR index directly and
+/// every other output is matched against the graph the entry retains.
+/// Only views the store has not frozen build the graph per query.
 fn eval_pattern_store(
     out: &OutputPattern,
     views: &[Query; 6],
@@ -105,10 +108,31 @@ fn eval_pattern_store(
     cfg: EvalConfig,
     store: &Store,
 ) -> Result<Relation, QueryError> {
-    if let Some(rel) = try_frozen_reach(out, views, op, store)? {
+    let entry = registered_entry(views, op, store);
+    if let Some(rel) = try_frozen_reach(out, entry, store)? {
         return Ok(rel);
     }
-    eval_pattern_physical(out, views, op, db, cfg)
+    let graph = store_view_graph(entry, views, op, db, cfg, store)?;
+    eval_pattern_on(out, &graph, cfg)
+}
+
+/// The view graph of a store-route pattern call: the one the
+/// registered entry retains, or — for views the store has not frozen —
+/// a per-query [`build_view`], counted in the store's `view_rebuilds`
+/// so a serving path that falls back shows in `METRICS`.
+fn store_view_graph(
+    entry: Option<(&str, &pgq_store::GraphEntry)>,
+    views: &[Query; 6],
+    op: ViewOp,
+    db: &Database,
+    cfg: EvalConfig,
+    store: &Store,
+) -> Result<Arc<PropertyGraph>, QueryError> {
+    if let Some(graph) = entry.and_then(|(name, _)| store.view_graph(name)) {
+        return Ok(graph);
+    }
+    store.counters().record_view_rebuild();
+    Ok(Arc::new(build_view(views, op, db, cfg)?))
 }
 
 /// Answers a reachability-shaped output from a graph frozen in the
@@ -119,11 +143,10 @@ fn eval_pattern_store(
 /// they fall through to the per-query route.
 fn try_frozen_reach(
     out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
+    entry: Option<(&str, &pgq_store::GraphEntry)>,
     store: &Store,
 ) -> Result<Option<Relation>, QueryError> {
-    let Some(entry) = registered_entry(views, op, store) else {
+    let Some((_, entry)) = entry else {
         return Ok(None);
     };
     let Some(shape) = reach_shape(&out.pattern) else {
@@ -226,24 +249,23 @@ fn eval_pattern_store_profiled(
     store: &Store,
 ) -> Result<(Relation, PlanMetrics), QueryError> {
     let start = std::time::Instant::now();
-    if let Some(rel) = try_frozen_reach(out, views, op, store)? {
+    let entry = registered_entry(views, op, store);
+    if let Some(rel) = try_frozen_reach(out, entry, store)? {
         let m = pattern_leaf("Pattern [frozen CSR reachability]", &rel, start);
         return Ok((rel, m));
     }
-    eval_pattern_physical_profiled(out, views, op, db, cfg)
+    let graph = store_view_graph(entry, views, op, db, cfg, store)?;
+    eval_pattern_on_profiled(out, &graph, cfg)
 }
 
-/// [`eval_pattern_physical`] with metrics — mirrors the route dispatch
+/// [`eval_pattern_on`] with metrics — mirrors the route dispatch
 /// exactly, so the profile never lies about which engine answered.
-fn eval_pattern_physical_profiled(
+fn eval_pattern_on_profiled(
     out: &OutputPattern,
-    views: &[Query; 6],
-    op: ViewOp,
-    db: &Database,
+    graph: &PropertyGraph,
     cfg: EvalConfig,
 ) -> Result<(Relation, PlanMetrics), QueryError> {
-    let graph = build_view(views, op, db, cfg)?;
-    if let Some((rel, fixpoint)) = try_fixpoint_reach_impl(out, &graph, &exec_opts(cfg), true)? {
+    if let Some((rel, fixpoint)) = try_fixpoint_reach_impl(out, graph, &exec_opts(cfg), true)? {
         let filtered = reach_shape(&out.pattern).is_some_and(|s| s.filtered);
         let label = if filtered {
             "Pattern [semi-naive fixpoint over filtered step edges]"
@@ -262,22 +284,22 @@ fn eval_pattern_physical_profiled(
         return Ok((rel, root));
     }
     let start = std::time::Instant::now();
-    if let Some(rel) = try_fast(out, &graph)? {
+    if let Some(rel) = try_fast(out, graph)? {
         let m = pattern_leaf("Pattern [NFA product-graph BFS]", &rel, start);
         return Ok((rel, m));
     }
-    let rel = out.eval(&graph)?;
+    let rel = out.eval(graph)?;
     let m = pattern_leaf("Pattern [reference (Figure 2) semantics]", &rel, start);
     Ok((rel, m))
 }
 
-/// The store entry frozen from exactly these views under this
-/// operator, when every view is a plain base relation.
+/// The store graph (name and entry) frozen from exactly these views
+/// under this operator, when every view is a plain base relation.
 fn registered_entry<'a>(
     views: &[Query; 6],
     op: ViewOp,
     store: &'a Store,
-) -> Option<&'a pgq_store::GraphEntry> {
+) -> Option<(&'a str, &'a pgq_store::GraphEntry)> {
     let mut names = Vec::with_capacity(6);
     for v in views {
         match v {
@@ -351,9 +373,8 @@ fn lower(
     })
 }
 
-/// A pattern call on the physical route: the view is built from
-/// physically-evaluated subqueries; reachability shapes run on the
-/// fixpoint operator; everything else falls back to NFA, then reference.
+/// A pattern call on the storeless physical route: the view is built
+/// from physically-evaluated subqueries, then matched.
 fn eval_pattern_physical(
     out: &OutputPattern,
     views: &[Query; 6],
@@ -361,14 +382,24 @@ fn eval_pattern_physical(
     db: &Database,
     cfg: EvalConfig,
 ) -> Result<Relation, QueryError> {
-    let graph = build_view(views, op, db, cfg)?;
-    if let Some(rel) = try_fixpoint_reach(out, &graph, &exec_opts(cfg))? {
+    eval_pattern_on(out, &build_view(views, op, db, cfg)?, cfg)
+}
+
+/// Matches an output pattern against a built view graph: reachability
+/// shapes run on the fixpoint operator; everything else falls back to
+/// NFA, then reference.
+fn eval_pattern_on(
+    out: &OutputPattern,
+    graph: &PropertyGraph,
+    cfg: EvalConfig,
+) -> Result<Relation, QueryError> {
+    if let Some(rel) = try_fixpoint_reach(out, graph, &exec_opts(cfg))? {
         return Ok(rel);
     }
-    if let Some(rel) = try_fast(out, &graph)? {
+    if let Some(rel) = try_fast(out, graph)? {
         return Ok(rel);
     }
-    Ok(out.eval(&graph)?)
+    Ok(out.eval(graph)?)
 }
 
 /// The reachability spine `(x) step^{n..∞} (y)` with a single
@@ -632,7 +663,7 @@ fn endpoint_output(out: &OutputPattern, x: &Var, y: &Var) -> bool {
     }
 }
 
-/// The route `eval_pattern_physical` takes for this output — mirrors
+/// The route `eval_pattern_on` takes for this output — mirrors
 /// the actual dispatch so `EXPLAIN` never lies.
 fn route_label(out: &OutputPattern) -> &'static str {
     if let Some(shape) = reach_shape(&out.pattern) {

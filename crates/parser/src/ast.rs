@@ -6,8 +6,11 @@
 //! * `CREATE PROPERTY GRAPH … (NODES TABLE … , EDGES TABLE …)` —
 //!   Example 1.1's syntax;
 //! * `SELECT * FROM GRAPH_TABLE (g MATCH … WHERE … RETURN (…))` —
-//!   Example 2.1's syntax.
+//!   Example 2.1's syntax;
+//! * `INSERT INTO t VALUES (v, …)` / `DELETE FROM t VALUES (v, …)` —
+//!   one-row mutations of a base table (Section 7 "Updates").
 
+use pgq_value::Value;
 use std::fmt;
 
 /// A parsed statement.
@@ -19,6 +22,19 @@ pub enum Statement {
     CreateGraph(CreateGraph),
     /// `SELECT * FROM GRAPH_TABLE (…);`
     GraphQuery(GraphQuery),
+    /// `INSERT INTO t VALUES (…);` / `DELETE FROM t VALUES (…);`
+    Mutation(Mutation),
+}
+
+/// A one-row mutation of a base table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Mutation {
+    /// `DELETE FROM` (otherwise `INSERT INTO`).
+    pub delete: bool,
+    /// Table name.
+    pub table: String,
+    /// The row: integer, boolean and string literals in column order.
+    pub row: Vec<Value>,
 }
 
 /// Table declaration: ordered column names.

@@ -125,13 +125,14 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes the input. `--` line comments are skipped.
+/// Tokenizes the input. `--` line comments are skipped. Every token
+/// boundary is an ASCII byte, so `i` always sits on a UTF-8 character
+/// boundary; string literals keep their characters whole.
 pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut i = 0usize;
     let mut out = Vec::new();
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some(c) = input[i..].chars().next() {
         // Whitespace.
         if c.is_ascii_whitespace() {
             i += 1;
@@ -244,28 +245,20 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 let mut j = i + 1;
                 let mut s = String::new();
                 loop {
-                    match bytes.get(j) {
-                        None => {
-                            return Err(LexError {
-                                message: "unterminated string literal".into(),
-                                at: i,
-                            })
-                        }
-                        Some(&b'\'') => {
-                            // SQL doubles quotes to escape them.
-                            if bytes.get(j + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                j += 2;
-                            } else {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
+                    let Some(len) = input[j..].find('\'') else {
+                        return Err(LexError {
+                            message: "unterminated string literal".into(),
+                            at: i,
+                        });
+                    };
+                    s.push_str(&input[j..j + len]);
+                    j += len + 1;
+                    // SQL doubles quotes to escape them.
+                    if bytes.get(j) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    j += 1;
                 }
                 push(Tok::Str(s), j);
                 i = j;
@@ -376,6 +369,28 @@ mod tests {
         let toks = lex("ab cd").unwrap();
         assert_eq!(toks[0].span, Span { start: 0, end: 2 });
         assert_eq!(toks[1].span, Span { start: 3, end: 5 });
+    }
+
+    #[test]
+    fn string_literals_keep_multibyte_characters() {
+        assert_eq!(
+            kinds("'Zoë' 'naïve''s' '日本'"),
+            vec![
+                Tok::Str("Zoë".into()),
+                Tok::Str("naïve's".into()),
+                Tok::Str("日本".into())
+            ]
+        );
+        let toks = lex("'é' x").unwrap();
+        assert_eq!(toks[0].span, Span { start: 0, end: 4 });
+        assert_eq!(toks[1].span, Span { start: 5, end: 6 });
+    }
+
+    #[test]
+    fn unexpected_multibyte_character_is_reported_whole() {
+        let err = lex("EXPLAIé SELECT 1").unwrap_err();
+        assert_eq!(err.at, 6);
+        assert_eq!(err.message, "unexpected character 'é'");
     }
 
     #[test]

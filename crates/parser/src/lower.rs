@@ -37,6 +37,9 @@ pub enum LowerError {
     Output(String),
     /// A `WHERE`/`RETURN` variable that the pattern never binds.
     UnknownVar(String),
+    /// A row mutation: a [`Session`] reads a caller-owned database, so
+    /// it has no rows to change.
+    ReadOnly,
 }
 
 impl fmt::Display for LowerError {
@@ -56,6 +59,7 @@ impl fmt::Display for LowerError {
             }
             LowerError::Output(s) => write!(f, "invalid RETURN clause: {s}"),
             LowerError::UnknownVar(v) => write!(f, "variable {v} is not bound by the pattern"),
+            LowerError::ReadOnly => write!(f, "row mutations need a serving engine"),
         }
     }
 }
@@ -357,6 +361,7 @@ impl Session {
                     .map_err(|e| LowerError::Output(e.to_string()))?;
                 Ok(Outcome::Rows(rows))
             }
+            Statement::Mutation(_) => Err(LowerError::ReadOnly),
         }
     }
 

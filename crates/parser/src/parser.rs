@@ -2,6 +2,7 @@
 
 use crate::ast::*;
 use crate::lexer::{lex, LexError, Tok, Token};
+use pgq_value::Value;
 use std::fmt;
 
 /// Parse errors with location information.
@@ -176,7 +177,37 @@ impl Parser {
         if self.at_kw("SELECT") {
             return Ok(Statement::GraphQuery(self.select()?));
         }
-        Err(self.err("expected CREATE or SELECT"))
+        for (verb, prep, delete) in [("INSERT", "INTO", false), ("DELETE", "FROM", true)] {
+            if self.eat_kw(verb) {
+                self.expect_kw(prep)?;
+                let table = self.ident()?;
+                self.expect_kw("VALUES")?;
+                self.expect(&Tok::LParen)?;
+                let mut row = vec![self.literal()?];
+                while self.eat(&Tok::Comma) {
+                    row.push(self.literal()?);
+                }
+                self.expect(&Tok::RParen)?;
+                return Ok(Statement::Mutation(Mutation { delete, table, row }));
+            }
+        }
+        Err(self.err("expected CREATE, SELECT, INSERT or DELETE"))
+    }
+
+    /// A row literal: an integer (optionally negative), `true`/`false`,
+    /// or a single-quoted string.
+    fn literal(&mut self) -> Result<Value, ParseError> {
+        let negative = self.eat(&Tok::Dash);
+        let word = |w: &str, kw: &str| !negative && w.eq_ignore_ascii_case(kw);
+        let v = match self.peek() {
+            Some(Tok::Int(i)) => Value::int(if negative { -i } else { *i }),
+            Some(Tok::Str(s)) if !negative => Value::str(s.as_str()),
+            Some(Tok::Ident(w)) if word(w, "true") => Value::bool(true),
+            Some(Tok::Ident(w)) if word(w, "false") => Value::bool(false),
+            _ => return Err(self.err("expected an integer, boolean, or 'string' literal")),
+        };
+        self.pos += 1;
+        Ok(v)
     }
 
     fn create_table(&mut self) -> Result<CreateTable, ParseError> {
@@ -646,6 +677,42 @@ mod tests {
         assert!(e.message.contains("path pattern"));
         let e = parse_statement("SELECT *").unwrap_err();
         assert!(e.message.contains("FROM"));
+    }
+
+    #[test]
+    fn parses_mutations() {
+        let Statement::Mutation(m) =
+            parse_statement("INSERT INTO Pair VALUES ('a,b', 'it''s', -5, TRUE);").unwrap()
+        else {
+            panic!("not a mutation")
+        };
+        assert_eq!(
+            m,
+            Mutation {
+                delete: false,
+                table: "Pair".into(),
+                row: vec![
+                    Value::str("a,b"),
+                    Value::str("it's"),
+                    Value::int(-5),
+                    Value::bool(true)
+                ],
+            }
+        );
+        let Statement::Mutation(m) = parse_statement("delete from T values (1);").unwrap() else {
+            panic!("not a mutation")
+        };
+        assert!(m.delete && m.table == "T" && m.row == [Value::int(1)]);
+        for bad in [
+            "INSERT INTO T VALUES ('abc);",
+            "INSERT INTO T 'oops';",
+            "INSERT INTO T VALUES );",
+            "INSERT INTO T VALUES (1, );",
+            "INSERT INTO T VALUES (-'x');",
+            "DELETE INTO T VALUES (1);",
+        ] {
+            assert!(parse_statement(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -27,8 +27,12 @@
 //!   every `SET THREADS` value.
 //! * `INSERT INTO t VALUES (v, …)` and `DELETE FROM t VALUES (v, …)` —
 //!   row mutations (the formal model is read-only; Section 7
-//!   "Updates"). Literals are integers, `true`/`false` and
-//!   single-quoted strings. Every graph over `t` is restaged.
+//!   "Updates"), parsed by the SQL/PGQ parser. Literals are
+//!   integers, `true`/`false` and single-quoted strings (`''` escapes
+//!   a quote). `t` must be declared by `CREATE TABLE` and the row must
+//!   have one value per declared column; otherwise the statement is a
+//!   typed error that changes nothing. Every graph over `t` is
+//!   restaged.
 //! * `STATS` / `STATS JSON` — the served store's layout (dictionary
 //!   residency, overlays, tombstones, resident bytes by component, the
 //!   last compaction, per-relation and per-graph sizes) followed by
@@ -37,7 +41,9 @@
 //! * `METRICS` / `METRICS JSON` / `METRICS RESET` — the store's
 //!   cumulative access counters: IndexScan rows, CSR neighbor and
 //!   sweep reads, overlay vs dense adjacency reads, dictionary
-//!   decodes, writer probes.
+//!   decodes, writer probes, and view rebuilds (a pattern read that
+//!   had to build its property graph per query — 0 on the served
+//!   path).
 //! * `COMPACT` — folds overlays, drops tombstones and rebuilds the
 //!   dictionary, as a snapshot swap.
 //! * `SET THREADS n` — executor workers for this session (`0` is the
@@ -54,9 +60,13 @@
 //!   DDL or a mutation — never while a query runs.
 //! * The **store** holds, per catalog graph `G`, the six canonical view
 //!   relations under reserved names (`⟨N:G⟩` … `⟨P:G⟩`) plus the
-//!   frozen view graph. The single writer maintains them and
-//!   republishes an immutable snapshot after every committed batch,
-//!   paired with the staged-graph map as one read view. Publication
+//!   frozen view graph: its CSR indexes and the validated
+//!   `PropertyGraph` they were built from. That graph is the server's
+//!   only row-level copy of `G` besides the base rows; every pattern
+//!   read matches against it, so no read rebuilds the view. The
+//!   single writer maintains them and republishes an immutable
+//!   snapshot after every committed batch, paired with the
+//!   staged-graph map as one read view. Publication
 //!   happens under the base lock, so two writers cannot interleave
 //!   their swaps.
 //! * Every read — `SELECT`, `EXPLAIN`, `EXPLAIN ANALYZE` — takes one
@@ -68,14 +78,14 @@
 
 use pgq_core::{eval_with_snapshot, eval_with_snapshot_profiled, EvalConfig, Query};
 use pgq_exec::{ExecOptions, PlannerChoice};
-use pgq_parser::ast::{CreateGraph, GraphQuery};
+use pgq_parser::ast::{CreateGraph, GraphQuery, Mutation};
 use pgq_parser::{lower_query, parse_statement, Catalog, Statement};
 use pgq_relational::{Database, RelName};
 use pgq_store::{
     AccessSnapshot, ConcurrentStore, DegreeHistogram, GraphForm, Store, StoreSnapshot,
     StoreStatistics, StoreStats,
 };
-use pgq_value::{Tuple, Value};
+use pgq_value::Tuple;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -89,26 +99,16 @@ pub struct SessionState {
     pub planner: PlannerChoice,
 }
 
-/// One catalog graph staged for snapshot evaluation: the six canonical
-/// view relations under this graph's reserved names, plus the
-/// identifier arity bound the view graph was frozen with.
-#[derive(Debug, Clone)]
-struct GraphView {
-    names: [RelName; 6],
-    k: usize,
-    /// The staged relations as a database — the `db` side of
-    /// evaluation (the store side lives in the published snapshot).
-    db: Database,
-}
-
 /// An immutable read configuration: a pinned store snapshot plus every
-/// catalog graph, staged or with the error its staging raised. Swapped
-/// atomically as one `Arc` — a reader's snapshot and graph map always
-/// agree.
+/// catalog graph — staged under its reserved names ([`staged_names`])
+/// with the identifier arity bound its view graph was frozen with, or
+/// with the error its staging raised. The rows live only in the store.
+/// Swapped atomically as one `Arc` — a reader's snapshot and graph map
+/// always agree.
 #[derive(Debug)]
 struct ReadView {
     snap: StoreSnapshot,
-    graphs: BTreeMap<String, Result<GraphView, String>>,
+    graphs: BTreeMap<String, Result<usize, String>>,
 }
 
 /// The protected base state: live rows plus the parser catalog.
@@ -185,9 +185,6 @@ impl Engine {
             return Vec::new();
         }
         let upper = stmt.to_ascii_uppercase();
-        if upper.starts_with("INSERT INTO") || upper.starts_with("DELETE FROM") {
-            return reply(self.mutate(stmt).map(|text| vec![format!("-- {text}")]));
-        }
         if upper == "STATS" || upper.starts_with("STATS ") {
             return self.stats(stmt["STATS".len()..].trim());
         }
@@ -239,6 +236,9 @@ impl Engine {
                 vec![format!("-- table {} defined", ct.name)]
             }
             Ok(Statement::CreateGraph(cg)) => reply(self.define_graph(&cg)),
+            Ok(Statement::Mutation(m)) => {
+                reply(self.mutate(m).map(|text| vec![format!("-- {text}")]))
+            }
         }
     }
 
@@ -260,18 +260,22 @@ impl Engine {
             out
         };
         let view = self.pin_view();
-        let gv = match view.graphs.get(&gq.graph) {
-            Some(staged) => staged.as_ref().map_err(Clone::clone)?,
+        let k = match view.graphs.get(&gq.graph) {
+            Some(staged) => staged.clone()?,
             None => return Err(format!("graph {} is not staged", gq.graph)),
         };
-        let q = Query::pattern_n(gv.k, out, gv.names.clone().map(Query::rel));
+        let q = Query::pattern_n(k, out, staged_names(&gq.graph).map(Query::rel));
         let cfg = EvalConfig::physical()
             .with_threads(conn.threads)
             .with_planner(conn.planner);
         let err = |e: pgq_core::QueryError| e.to_string();
+        // A bare pattern call over views frozen in the store reads only
+        // the pinned snapshot — its CSR and retained view graph — so
+        // core gets no row copy.
+        let no_rows = Database::new();
         Ok(match kind {
             ReadKind::Run => {
-                let rows = eval_with_snapshot(&q, &gv.db, cfg, &view.snap).map_err(err)?;
+                let rows = eval_with_snapshot(&q, &no_rows, cfg, &view.snap).map_err(err)?;
                 let mut lines = vec![format!("-- {} row(s)", rows.len())];
                 lines.extend(rows.iter().map(|row| row.to_string()));
                 lines
@@ -280,7 +284,7 @@ impl Engine {
                 let opts = ExecOptions::with_threads(conn.threads).with_planner(conn.planner);
                 let text = pgq_core::explain_with_exec_opts(
                     &q,
-                    &gv.db.schema(),
+                    &view.snap.schema(),
                     Some(view.snap.as_store()),
                     opts,
                 )
@@ -289,7 +293,7 @@ impl Engine {
             }
             ReadKind::Analyze => {
                 let (_rel, profile) =
-                    eval_with_snapshot_profiled(&q, &gv.db, cfg, &view.snap).map_err(err)?;
+                    eval_with_snapshot_profiled(&q, &no_rows, cfg, &view.snap).map_err(err)?;
                 block("query profile", &profile.render(true))
             }
         })
@@ -310,26 +314,25 @@ impl Engine {
     }
 
     /// `INSERT INTO t VALUES (…)` / `DELETE FROM t VALUES (…)`:
-    /// mutates the live database, then re-stages every catalog graph
-    /// built over the mutated table through the serialized writer and
-    /// publishes the new snapshot.
-    fn mutate(&self, stmt: &str) -> Result<String, String> {
-        let delete = stmt.to_ascii_uppercase().starts_with("DELETE FROM");
-        let table = stmt["INSERT INTO".len()..] // both prefixes have length 11
-            .split_whitespace()
-            .next()
-            .ok_or("mutation needs a table name")?
-            .to_string();
-        let (_, rest) = stmt.split_once('(').ok_or("mutation needs VALUES (…)")?;
-        let (values, _) = rest
-            .rsplit_once(')')
-            .ok_or("mutation needs a closing paren")?;
-        let values: Vec<Value> = values
-            .split(',')
-            .map(|v| parse_value(v.trim()))
-            .collect::<Result<_, _>>()?;
-        let row = Tuple::new(values);
+    /// checks the row against the table's declared columns, mutates the
+    /// live database, then re-stages every catalog graph built over the
+    /// mutated table through the serialized writer and publishes the
+    /// new snapshot. A rejected row changes nothing.
+    fn mutate(&self, m: Mutation) -> Result<String, String> {
+        let Mutation { delete, table, row } = m;
+        let row = Tuple::new(row);
         let mut base = self.lock_base();
+        let columns = base
+            .catalog
+            .table_columns(&table)
+            .map_err(|e| e.to_string())?
+            .len();
+        if row.arity() != columns {
+            return Err(format!(
+                "table {table} declares {columns} column(s), row has {} value(s)",
+                row.arity()
+            ));
+        }
         let changed = if delete {
             base.db.remove(&table.as_str().into(), &row)
         } else {
@@ -372,7 +375,7 @@ impl Engine {
         if graphs.is_empty() {
             return;
         }
-        let staged: Vec<(String, Result<GraphView, String>)> = graphs
+        let staged: Vec<(String, Result<_, String>)> = graphs
             .iter()
             .map(|g| (g.clone(), stage_graph(&base.catalog, &base.db, g)))
             .collect();
@@ -381,32 +384,32 @@ impl Engine {
             .write(|s| -> Result<Vec<_>, Infallible> {
                 Ok(staged
                     .into_iter()
-                    .map(|(g, gv)| {
-                        let gv = gv.and_then(|gv| {
-                            install_graph(s, &g, &gv).map_err(|e| e.to_string())?;
-                            Ok(gv)
+                    .map(|(g, staged)| {
+                        let k = staged.and_then(|(k, rows)| {
+                            install_graph(s, &g, k, rows).map_err(|e| e.to_string())?;
+                            Ok(k)
                         });
-                        if gv.is_err() {
+                        if k.is_err() {
                             s.drop_graph(&g);
                         }
-                        (g, gv)
+                        (g, k)
                     })
                     .collect())
             })
             .unwrap_or_else(|e| match e {});
         let mut map = self.pin_view().graphs.clone();
-        for (g, gv) in installed {
-            if let Err(e) = &gv {
+        for (g, k) in installed {
+            if let Err(e) = &k {
                 note.push_str(&format!("; graph {g} unstaged: {e}"));
             }
-            map.insert(g, gv);
+            map.insert(g, k);
         }
         self.publish(map);
     }
 
     /// Swaps in a new [`ReadView`] pairing the latest published
     /// snapshot with `graphs`. Callers hold the base lock.
-    fn publish(&self, graphs: BTreeMap<String, Result<GraphView, String>>) {
+    fn publish(&self, graphs: BTreeMap<String, Result<usize, String>>) {
         let snap = self.store.pin();
         *self.view.write().unwrap_or_else(PoisonError::into_inner) =
             Arc::new(ReadView { snap, graphs });
@@ -461,13 +464,8 @@ impl Engine {
                 .collect()
         } else if arg.is_empty() {
             let text = counters.snapshot().to_string();
-            let mut lines = Vec::new();
-            let mut it = text.lines();
-            if let Some(head) = it.next() {
-                lines.push(format!("-- {head}"));
-            }
-            lines.extend(it.map(|l| format!("   {l}")));
-            lines
+            let (head, body) = text.split_once('\n').unwrap_or((&text, ""));
+            block(head, body)
         } else {
             vec!["!! METRICS takes no argument, JSON, or RESET".into()]
         }
@@ -486,14 +484,14 @@ impl Engine {
     }
 }
 
-/// Builds the staged database + reserved names for catalog graph `g`
-/// from the live base state.
-fn stage_graph(catalog: &Catalog, db: &Database, g: &str) -> Result<GraphView, String> {
+/// Derives catalog graph `g`'s identifier arity bound and six view
+/// relations from the live base state, the latter as a database under
+/// the graph's reserved names.
+fn stage_graph(catalog: &Catalog, db: &Database, g: &str) -> Result<(usize, Database), String> {
     let rels = catalog.view_relations(g, db).map_err(|e| e.to_string())?;
     let k = catalog.id_arity(g).map_err(|e| e.to_string())?;
-    let names = staged_names(g);
     let mut sdb = Database::new();
-    for (name, rel) in names.clone().into_iter().zip([
+    for (name, rel) in staged_names(g).into_iter().zip([
         rels.nodes,
         rels.edges,
         rels.src,
@@ -503,22 +501,29 @@ fn stage_graph(catalog: &Catalog, db: &Database, g: &str) -> Result<GraphView, S
     ]) {
         sdb.add_relation(name, rel);
     }
-    Ok(GraphView { names, k, db: sdb })
+    Ok((k, sdb))
 }
 
 /// Registers a staged graph's six relations and frozen view graph into
-/// the writer's working store.
-fn install_graph(s: &mut Store, g: &str, gv: &GraphView) -> Result<(), pgq_store::StoreError> {
+/// the writer's working store, consuming the staged rows: afterwards
+/// the store holds the only copy (its columns and the validated view
+/// graph the entry retains).
+fn install_graph(
+    s: &mut Store,
+    g: &str,
+    k: usize,
+    rows: Database,
+) -> Result<(), pgq_store::StoreError> {
     // Drop the previous freeze first: `register_relation` re-freezes
     // any view graph backed by the relation, and doing that after only
     // some of the six views have been replaced validates a torn view
     // (new edges against the old src/tgt) — spuriously unstaging the
-    // graph. The consistent freeze is rebuilt from `gv.db` below.
+    // graph. The consistent freeze is rebuilt from `rows` below.
     s.drop_graph(g);
-    for (name, rel) in gv.db.iter() {
+    for (name, rel) in rows.iter() {
         s.register_relation(name.clone(), rel)?;
     }
-    s.register_view_graph(g, gv.names.clone(), &gv.db, GraphForm::Bounded(gv.k))
+    s.register_view_graph(g, staged_names(g), &rows, GraphForm::Bounded(k))
 }
 
 /// Strips a leading case-insensitive whole-word keyword, returning the
@@ -530,22 +535,6 @@ fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
         .map(|_| &s[kw.len()..])?;
     rest.starts_with(char::is_whitespace)
         .then(|| rest.trim_start())
-}
-
-/// Literal syntax: integers, booleans, single-quoted strings.
-fn parse_value(v: &str) -> Result<Value, String> {
-    if let Some(stripped) = v.strip_prefix('\'') {
-        return Ok(Value::str(stripped.trim_end_matches('\'')));
-    }
-    if v.eq_ignore_ascii_case("true") {
-        return Ok(Value::bool(true));
-    }
-    if v.eq_ignore_ascii_case("false") {
-        return Ok(Value::bool(false));
-    }
-    v.parse()
-        .map(Value::int)
-        .map_err(|_| format!("bad literal {v}: expected an integer, boolean, or 'string'"))
 }
 
 /// Splits a script on `;` while respecting single-quoted strings —
@@ -592,6 +581,8 @@ fn metrics_json(snap: &AccessSnapshot) -> String {
     w.number(snap.writer_probes);
     w.key("writer_probe_rows");
     w.number(snap.writer_probe_rows);
+    w.key("view_rebuilds");
+    w.number(snap.view_rebuilds);
     w.end_object();
     w.finish()
 }

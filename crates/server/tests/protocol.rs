@@ -219,9 +219,53 @@ fn malformed_inputs_return_typed_errors_and_server_survives() {
         .request("INSERT INTO Account VALUES )(")
         .expect("reversed parens");
     assert!(resp[0].starts_with("!! "), "{resp:?}");
-    // A multi-byte character where a keyword boundary would fall.
+    // A multi-byte character where a keyword boundary would fall: the
+    // error names the character, not its first byte.
     let resp = client.request("EXPLAIé SELECT 1").expect("utf-8 keyword");
-    assert!(resp[0].starts_with("!! "), "{resp:?}");
+    assert_eq!(
+        resp,
+        ["!! parse error at byte 6: unexpected character 'é'"],
+        "{resp:?}"
+    );
+    // VALUES is tokenized by the SQL lexer: a comma inside a string is
+    // part of the string (the repeat is a no-op, so exactly one row
+    // went in), `''` escapes a quote, and an unterminated string is a
+    // typed error that inserts nothing.
+    client.request("CREATE TABLE Pair (k, v)").expect("ddl");
+    for (stmt, want) in [
+        (
+            "INSERT INTO Pair VALUES ('a,b', 'c')",
+            "-- inserted into Pair",
+        ),
+        (
+            "INSERT INTO Pair VALUES ('a,b', 'c')",
+            "-- inserted into Pair (no-op)",
+        ),
+        (
+            "INSERT INTO Account VALUES ('it''s')",
+            "-- inserted into Account",
+        ),
+        (
+            "INSERT INTO Account VALUES ('abc",
+            "!! parse error at byte 28: unterminated string literal",
+        ),
+    ] {
+        let resp = client.request(stmt).expect("mutation");
+        assert_eq!(resp, [want], "{stmt}");
+    }
+    let resp = client
+        .request("SELECT * FROM GRAPH_TABLE (Transfers MATCH (x) RETURN (x.iban))")
+        .expect("accounts");
+    assert_eq!(
+        resp,
+        [
+            "-- 4 row(s)",
+            "(\"A0\")",
+            "(\"A1\")",
+            "(\"A2\")",
+            "(\"it's\")"
+        ]
+    );
     // Query on an unknown graph → typed error, not a hang or panic.
     let resp = client
         .request("SELECT * FROM GRAPH_TABLE (Nope MATCH (x) RETURN (x.iban))")
@@ -476,4 +520,150 @@ fn compaction_alongside_ddl_and_writes_loses_no_graph() {
         assert_eq!(resp[0], "-- query profile", "graph G{g}: {resp:?}");
     }
     server.stop();
+}
+
+#[test]
+fn multibyte_string_literals_round_trip() {
+    let engine = Engine::new();
+    let mut sess = pgq_server::SessionState::default();
+    for stmt in [
+        "CREATE TABLE Account (iban, owner)",
+        "CREATE TABLE Transfer (t_id, src_iban, tgt_iban)",
+        "CREATE PROPERTY GRAPH Owners ( \
+         NODES TABLE Account KEY (iban) PROPERTIES (owner), \
+         EDGES TABLE Transfer KEY (t_id) \
+           SOURCE KEY src_iban REFERENCES Account \
+           TARGET KEY tgt_iban REFERENCES Account)",
+        "INSERT INTO Account VALUES ('A1', 'Zoë')",
+        "INSERT INTO Account VALUES ('A2', 'Zoe')",
+    ] {
+        let resp = engine.statement(&mut sess, stmt);
+        assert!(
+            resp.iter().all(|l| !l.starts_with("!! ")),
+            "{stmt}: {resp:?}"
+        );
+    }
+    let resp = engine.statement(
+        &mut sess,
+        "SELECT * FROM GRAPH_TABLE (Owners MATCH (x) WHERE x.owner = 'Zoë' RETURN (x.iban, x.owner))",
+    );
+    assert_eq!(resp, ["-- 1 row(s)", "(\"A1\", \"Zoë\")"]);
+}
+
+#[test]
+fn mutations_outside_the_catalog_change_nothing() {
+    let server = start_server();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    load_demo(&mut client, 3);
+    let before = client.request(QUERY).expect("query");
+    assert_eq!(before[0], "-- 3 row(s)", "{before:?}");
+    for (stmt, want) in [
+        ("INSERT INTO Nowhere VALUES (1)", "!! unknown table Nowhere"),
+        ("DELETE FROM Nowhere VALUES (1)", "!! unknown table Nowhere"),
+        (
+            "INSERT INTO Account VALUES ('A1', 7)",
+            "!! table Account declares 1 column(s), row has 2 value(s)",
+        ),
+        (
+            "DELETE FROM Transfer VALUES (0, 'A0')",
+            "!! table Transfer declares 5 column(s), row has 2 value(s)",
+        ),
+    ] {
+        let resp = client.request(stmt).expect("rejected mutation");
+        assert_eq!(resp, [want], "{stmt}");
+    }
+    // The table and its graph still answer, and take the next rows.
+    assert_eq!(client.request(QUERY).expect("query"), before);
+    let resp = client
+        .request(&format!("EXPLAIN ANALYZE {QUERY}"))
+        .expect("analyze");
+    assert_eq!(resp[0], "-- query profile", "{resp:?}");
+    for stmt in [
+        "INSERT INTO Account VALUES ('A3')",
+        "INSERT INTO Transfer VALUES (2, 'A2', 'A3', 102, 502)",
+    ] {
+        let resp = client.request(stmt).expect("insert");
+        assert_eq!(resp.len(), 1, "staging note: {resp:?}");
+        assert!(resp[0].starts_with("-- inserted into"), "{resp:?}");
+    }
+    let resp = client.request(QUERY).expect("query after inserts");
+    assert_eq!(resp[0], "-- 6 row(s)", "{resp:?}");
+    server.stop();
+}
+
+/// The seven read shapes of the front-door benchmark, over its schema.
+const BENCH_SHAPES: [&str; 7] = [
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t:Transfer]-> (y) WHERE x.owner = 1 \
+     RETURN (x.iban, t.t_id, y.iban))",
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t:Transfer]-> (y) WHERE t.amount = 502 \
+     RETURN (x.iban, t.t_id, y.iban))",
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t:Transfer]-> (y) -[u:Transfer]-> (z) \
+     WHERE x.owner = 1 RETURN (x.iban, t.t_id, u.t_id, z.iban))",
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t:Transfer]->{1,2} (y) WHERE x.owner = 1 \
+     RETURN (x.iban, y.iban))",
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t]->+ (y) RETURN (x.iban, y.iban))",
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t:Transfer]->+ (y) RETURN (x.iban, y.iban))",
+    "SELECT * FROM GRAPH_TABLE (Bank MATCH (x) -[t:Transfer]->+ (y) WHERE t.amount > 501 \
+     RETURN (x.iban, y.iban))",
+];
+
+#[test]
+fn served_reads_never_rebuild_a_view() {
+    let engine = Engine::new();
+    let mut sess = pgq_server::SessionState::default();
+    let mut run = |stmt: &str| {
+        let resp = engine.statement(&mut sess, stmt);
+        assert!(
+            resp.iter().all(|l| !l.starts_with("!! ")),
+            "{stmt}: {resp:?}"
+        );
+        resp
+    };
+    run("CREATE TABLE Account (iban, owner, blocked)");
+    run("CREATE TABLE Transfer (t_id, src_iban, tgt_iban, amount)");
+    for i in 0..6 {
+        run(&format!(
+            "INSERT INTO Account VALUES ('A{i}', {}, false)",
+            i % 3
+        ));
+    }
+    run("CREATE PROPERTY GRAPH Bank ( \
+         NODES TABLE Account KEY (iban) LABEL Account PROPERTIES (owner, blocked), \
+         EDGES TABLE Transfer KEY (t_id) \
+         SOURCE KEY src_iban REFERENCES Account \
+         TARGET KEY tgt_iban REFERENCES Account \
+         LABEL Transfer PROPERTIES (amount))");
+    for i in 0..5 {
+        run(&format!(
+            "INSERT INTO Transfer VALUES ({i}, 'A{i}', 'A{}', {})",
+            i + 1,
+            500 + i
+        ));
+    }
+    let read_all = |run: &mut dyn FnMut(&str) -> Vec<String>| {
+        for shape in BENCH_SHAPES {
+            let rows = run(shape);
+            assert!(rows[0].ends_with("row(s)"), "{shape}: {rows:?}");
+            let profile = run(&format!("EXPLAIN ANALYZE {shape}"));
+            assert_eq!(profile[0], "-- query profile", "{shape}: {profile:?}");
+            let plan = run(&format!("EXPLAIN {shape}"));
+            assert_eq!(plan[0], "-- physical plan", "{shape}: {plan:?}");
+        }
+    };
+    run("METRICS RESET");
+    for k in 0..4 {
+        read_all(&mut run);
+        let row = format!("(100, 'A{k}', 'A{}', 501)", k + 2);
+        run(&format!("INSERT INTO Transfer VALUES {row}"));
+        read_all(&mut run);
+        run(&format!("DELETE FROM Transfer VALUES {row}"));
+        if k == 2 {
+            run("COMPACT");
+        }
+    }
+    read_all(&mut run);
+    let json = run("METRICS JSON").join("\n");
+    assert!(json.contains("\"view_rebuilds\": 0"), "{json}");
+    // The counter is live: it is what a fallback would move.
+    assert!(json.contains("\"index_scan_rows\""), "{json}");
 }

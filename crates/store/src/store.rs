@@ -29,7 +29,7 @@ use pgq_graph::{
     pg_view_bounded, pg_view_exact, pg_view_ext, PropertyGraph, Update, UpdateError, ViewError,
     ViewMode, ViewRelations,
 };
-use pgq_relational::{Database, RelName, Relation};
+use pgq_relational::{Database, RelName, Relation, Schema};
 use pgq_value::{Label, Tuple, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -197,11 +197,19 @@ pub struct GraphEntry {
     labels: BTreeMap<Label, CsrWithDelta>,
     /// `|E|` of the source graph, parallel edges counted.
     edge_count: usize,
+    /// The validated property graph the entry was frozen from,
+    /// `Arc`-shared by snapshot clones: pattern reads that need the
+    /// whole graph (filters, properties, the NFA and Figure 2
+    /// evaluators) match against it instead of rebuilding the view per
+    /// query. The Section 7 update path edits the entry in place and
+    /// empties the slot; [`Store::view_graph`] refills it once from the
+    /// store's own relations.
+    graph: OnceLock<Arc<PropertyGraph>>,
 }
 
 impl GraphEntry {
     fn from_graph(
-        g: &PropertyGraph,
+        g: Arc<PropertyGraph>,
         views: Option<[RelName; 6]>,
         form: GraphForm,
     ) -> Result<Self, StoreError> {
@@ -245,6 +253,7 @@ impl GraphEntry {
             id_of,
             dead: HashSet::new(),
             ids,
+            graph: OnceLock::from(g),
         })
     }
 
@@ -281,6 +290,7 @@ impl GraphEntry {
                 .collect(),
             edge_count,
             ids,
+            graph: OnceLock::new(),
         }
     }
 
@@ -657,6 +667,7 @@ pub struct AccessCounters {
     dict_decodes: AtomicU64,
     writer_probes: AtomicU64,
     writer_probe_rows: AtomicU64,
+    view_rebuilds: AtomicU64,
 }
 
 impl Clone for AccessCounters {
@@ -671,6 +682,7 @@ impl Clone for AccessCounters {
             dict_decodes: AtomicU64::new(s.dict_decodes),
             writer_probes: AtomicU64::new(s.writer_probes),
             writer_probe_rows: AtomicU64::new(s.writer_probe_rows),
+            view_rebuilds: AtomicU64::new(s.view_rebuilds),
         }
     }
 }
@@ -716,6 +728,13 @@ impl AccessCounters {
             .fetch_add(candidates, Ordering::Relaxed);
     }
 
+    /// Records one property-graph view built for a read — the per-query
+    /// rebuild the serving path should never need (a graph registered
+    /// in the store keeps the one it was frozen from).
+    pub fn record_view_rebuild(&self) {
+        self.view_rebuilds.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A plain-integer snapshot of the current totals.
     pub fn snapshot(&self) -> AccessSnapshot {
         AccessSnapshot {
@@ -727,6 +746,7 @@ impl AccessCounters {
             dict_decodes: self.dict_decodes.load(Ordering::Relaxed),
             writer_probes: self.writer_probes.load(Ordering::Relaxed),
             writer_probe_rows: self.writer_probe_rows.load(Ordering::Relaxed),
+            view_rebuilds: self.view_rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -750,6 +770,8 @@ impl AccessCounters {
             .fetch_add(snap.writer_probes, Ordering::Relaxed);
         self.writer_probe_rows
             .fetch_add(snap.writer_probe_rows, Ordering::Relaxed);
+        self.view_rebuilds
+            .fetch_add(snap.view_rebuilds, Ordering::Relaxed);
     }
 
     /// Zeroes every counter (the shell's `METRICS RESET;`).
@@ -762,6 +784,7 @@ impl AccessCounters {
         self.dict_decodes.store(0, Ordering::Relaxed);
         self.writer_probes.store(0, Ordering::Relaxed);
         self.writer_probe_rows.store(0, Ordering::Relaxed);
+        self.view_rebuilds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -787,6 +810,10 @@ pub struct AccessSnapshot {
     /// O(relation), which is the point of routing them through the
     /// indexes.
     pub writer_probe_rows: u64,
+    /// Property-graph views built for reads: a pattern call over views
+    /// not frozen in the store, or a registered graph whose retained
+    /// view the update path cleared.
+    pub view_rebuilds: u64,
 }
 
 impl AccessSnapshot {
@@ -808,6 +835,7 @@ impl AccessSnapshot {
             writer_probe_rows: self
                 .writer_probe_rows
                 .saturating_sub(earlier.writer_probe_rows),
+            view_rebuilds: self.view_rebuilds.saturating_sub(earlier.view_rebuilds),
         }
     }
 }
@@ -824,11 +852,12 @@ impl fmt::Display for AccessSnapshot {
             self.overlay_reads, self.dense_reads
         )?;
         writeln!(f, "  dictionary decodes     : {}", self.dict_decodes)?;
-        write!(
+        writeln!(
             f,
             "  writer probes          : {} ({} candidate row(s))",
             self.writer_probes, self.writer_probe_rows
-        )
+        )?;
+        write!(f, "  view rebuilds          : {}", self.view_rebuilds)
     }
 }
 
@@ -1033,33 +1062,52 @@ impl Store {
         db: &Database,
         form: GraphForm,
     ) -> Result<(), StoreError> {
-        let mut rels = Vec::with_capacity(6);
-        for name in &views {
-            rels.push(
+        let g = Self::apply_view(
+            views.each_ref().map(|name| {
                 db.get(name)
-                    .ok_or_else(|| StoreError::UnknownRelation(name.clone()))?
-                    .clone(),
-            );
-        }
-        let mut it = rels.into_iter();
-        let vr = ViewRelations::new(
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-        );
-        let g = Self::apply_view(&vr, form)?;
-        self.register_graph(graph_name, &g, Some(views), form)
+                    .cloned()
+                    .ok_or_else(|| StoreError::UnknownRelation(name.clone()))
+            }),
+            form,
+        )?;
+        self.freeze_graph(graph_name.into(), Arc::new(g), Some(views), form)
     }
 
-    fn apply_view(vr: &ViewRelations, form: GraphForm) -> Result<PropertyGraph, StoreError> {
+    /// Validates six view relations with the strict `pgView` operator
+    /// of `form`.
+    fn apply_view(
+        rels: [Result<Relation, StoreError>; 6],
+        form: GraphForm,
+    ) -> Result<PropertyGraph, StoreError> {
+        let [n, e, s, t, l, p] = rels;
+        let vr = ViewRelations::new(n?, e?, s?, t?, l?, p?);
         Ok(match form {
-            GraphForm::Exact(n) => pg_view_exact(n, vr, ViewMode::Strict)?,
-            GraphForm::Bounded(n) => pg_view_bounded(n, vr, ViewMode::Strict)?,
-            GraphForm::Ext => pg_view_ext(vr, ViewMode::Strict)?,
+            GraphForm::Exact(n) => pg_view_exact(n, &vr, ViewMode::Strict)?,
+            GraphForm::Bounded(n) => pg_view_bounded(n, &vr, ViewMode::Strict)?,
+            GraphForm::Ext => pg_view_ext(&vr, ViewMode::Strict)?,
         })
+    }
+
+    /// The view graph of `views` as the store's own columnar relations
+    /// currently hold it, decoded and validated under `form`.
+    fn decode_view_graph(
+        &self,
+        views: &[RelName; 6],
+        form: GraphForm,
+    ) -> Result<PropertyGraph, StoreError> {
+        Self::apply_view(
+            views.each_ref().map(|name| {
+                let col = self
+                    .relations
+                    .get(name)
+                    .ok_or_else(|| StoreError::UnknownRelation(name.clone()))?;
+                Ok(
+                    Relation::from_rows(col.arity(), col.decode_rows(&self.dict))
+                        .expect("columnar rows share the relation arity"),
+                )
+            }),
+            form,
+        )
     }
 
     /// Freezes an already-built (hence already-validated) property
@@ -1074,7 +1122,18 @@ impl Store {
         views: Option<[RelName; 6]>,
         form: GraphForm,
     ) -> Result<(), StoreError> {
-        let name = graph_name.into();
+        self.freeze_graph(graph_name.into(), Arc::new(g.clone()), views, form)
+    }
+
+    /// [`Store::register_graph`] taking ownership of the graph, which
+    /// the entry retains for [`Store::view_graph`].
+    fn freeze_graph(
+        &mut self,
+        name: String,
+        g: Arc<PropertyGraph>,
+        views: Option<[RelName; 6]>,
+        form: GraphForm,
+    ) -> Result<(), StoreError> {
         self.stats_cache.invalidate();
         let entry = GraphEntry::from_graph(g, views.clone(), form)?;
         match views {
@@ -1173,13 +1232,38 @@ impl Store {
         self.graphs.get(name)
     }
 
-    /// The graph entry registered from exactly these six view relations
-    /// under this form, if any — the planner's match point for pattern
-    /// calls over base relations.
-    pub fn graph_for_views(&self, views: &[RelName; 6], form: GraphForm) -> Option<&GraphEntry> {
+    /// The graph registered from exactly these six view relations under
+    /// this form, if any, with its name — the planner's match point for
+    /// pattern calls over base relations.
+    pub fn graph_for_views(
+        &self,
+        views: &[RelName; 6],
+        form: GraphForm,
+    ) -> Option<(&str, &GraphEntry)> {
         self.graphs
-            .values()
-            .find(|e| e.form == form && e.views.as_ref() == Some(views))
+            .iter()
+            .find(|(_, e)| e.form == form && e.views.as_ref() == Some(views))
+            .map(|(name, e)| (name.as_str(), e))
+    }
+
+    /// The validated property graph of registered graph `name` — the
+    /// one it was frozen from, shared with every snapshot clone, so a
+    /// read matches patterns against it without rebuilding the view.
+    /// An entry without one (the update path cleared it, or the bulk
+    /// loader assembled the entry from parts) rebuilds it once from the
+    /// store's own relations, counts a view rebuild, and keeps it until
+    /// the next update. `None` when no graph of that name is registered.
+    pub fn view_graph(&self, name: &str) -> Option<Arc<PropertyGraph>> {
+        let entry = self.graphs.get(name)?;
+        if let Some(g) = entry.graph.get() {
+            return Some(Arc::clone(g));
+        }
+        // Entries frozen without view names always retain their graph.
+        let g = self
+            .decode_view_graph(entry.views.as_ref()?, entry.form)
+            .ok()?;
+        self.counters.record_view_rebuild();
+        Some(Arc::clone(entry.graph.get_or_init(|| Arc::new(g))))
     }
 
     /// Registered graph names with entries, in name order.
@@ -1204,6 +1288,19 @@ impl Store {
 
     fn encode_row(&self, t: &Tuple) -> Option<Vec<u32>> {
         t.iter().map(|v| self.dict.code(v)).collect()
+    }
+
+    /// The schema of the registered relations (positive arities only,
+    /// like [`Database::schema`]) — what a plan is checked against when
+    /// the caller holds no row copy of its own.
+    pub fn schema(&self) -> Schema {
+        let mut schema = Schema::new();
+        for (name, col) in &self.relations {
+            if col.arity() > 0 {
+                schema.add(name.clone(), col.arity());
+            }
+        }
+        schema
     }
 
     /// Whether a registered relation holds `t` as a live row.
@@ -1300,6 +1397,11 @@ impl Store {
     }
 
     fn finish_updates(&mut self, graph: &str) -> Result<(), StoreError> {
+        // The entry was edited in place: its retained graph is stale
+        // (`view_graph` rebuilds it on the next read that needs it).
+        if let Some(e) = self.graphs.get_mut(graph) {
+            e.graph = OnceLock::new();
+        }
         self.refresh_adom()?;
         if let Some(views) = self.graphs.get(graph).and_then(|e| e.views.clone()) {
             for name in &views {
@@ -1891,30 +1993,9 @@ impl Store {
             .get(graph)
             .cloned()
             .expect("caller listed the name");
-        let mut rels = Vec::with_capacity(6);
-        for name in &views {
-            let Some(col) = self.relations.get(name) else {
-                self.graphs.remove(graph);
-                return Err(StoreError::UnknownRelation(name.clone()));
-            };
-            let rows = col.decode_rows(&self.dict);
-            rels.push(
-                Relation::from_rows(col.arity(), rows)
-                    .expect("columnar rows share the relation arity"),
-            );
-        }
-        let mut it = rels.into_iter();
-        let vr = ViewRelations::new(
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-        );
-        match Self::apply_view(&vr, form) {
+        match self.decode_view_graph(&views, form) {
             Ok(g) => {
-                let e = GraphEntry::from_graph(&g, Some(views), form)?;
+                let e = GraphEntry::from_graph(Arc::new(g), Some(views), form)?;
                 self.graphs.insert(graph.to_string(), e);
                 Ok(())
             }

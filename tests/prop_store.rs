@@ -17,20 +17,31 @@
 //!   projections), and select with order predicates that must decode
 //!   on compare;
 //!
+//! * the **retained view graph**: pattern calls over a registered graph
+//!   match against the graph the store froze it from — no per-query
+//!   `build_view` — after registration, row-level refreezes, Section 7
+//!   updates, compaction and on older pinned snapshots;
+//!
 //! plus the empty-graph, self-loop, and parallel-edge edge cases.
 
-use pgq_core::{builders, eval_with, eval_with_snapshot, eval_with_store, EvalConfig, Query};
+use pgq_core::{
+    build_view, builders, eval_with, eval_with_snapshot, eval_with_store, eval_with_store_profiled,
+    EvalConfig, Query, ViewOp,
+};
 use pgq_exec::{
     eval_ra, eval_ra_mode, eval_ra_opts, eval_ra_with, execute_opts, plan_ra, store_plan,
     BatchMode, ExecOptions, PlannerChoice,
 };
-use pgq_graph::{updates, Update, ViewRelations};
+use pgq_graph::{updates, PropertyGraph, Update, ViewRelations};
+use pgq_pattern::testgen::{arb_graph, arb_nfa_pattern};
+use pgq_pattern::{Condition, Direction, OutputItem, OutputPattern, Pattern};
 use pgq_relational::{CmpOp, Database, RaExpr, RelName, Relation, RowCondition};
 use pgq_store::{ConcurrentStore, GraphForm, Store, StoreError, StoreSnapshot, ADOM_REL};
 use pgq_value::{tuple, Tuple, Value};
 use pgq_workloads::random::{canonical_graph_db, ve_db};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn views() -> [RelName; 6] {
     ["N", "E", "S", "T", "L", "P"].map(Into::into)
@@ -989,4 +1000,155 @@ fn empty_graph_self_loops_and_parallel_edges() {
         eval_ra_with(&RaExpr::rel("V").project(Vec::new()), &bdb, &store).unwrap(),
         Relation::r#true()
     );
+}
+
+/// Outputs over `(x) p (y)` that reach every route a retained graph
+/// serves: endpoint pairs (fixpoint or NFA), Boolean, a single-variable
+/// projection (the Figure 2 reference evaluator), and a filtered
+/// reachability step (the fixpoint over filtered step edges).
+fn retained_route_outputs(p: &Pattern) -> Vec<OutputPattern> {
+    let framed = || {
+        Pattern::Node(Some("x".into()))
+            .then(p.clone())
+            .then(Pattern::Node(Some("y".into())))
+    };
+    let step = Pattern::Edge(Some("e".into()), Direction::Forward).filter(Condition::prop_cmp(
+        "e",
+        "w",
+        CmpOp::Ge,
+        2,
+    ));
+    let filtered_reach = Pattern::Node(Some("x".into()))
+        .then(step.repeat_at_least(1))
+        .then(Pattern::Node(Some("y".into())));
+    vec![
+        OutputPattern::vars(framed(), ["x", "y"]).unwrap(),
+        OutputPattern::boolean(framed()).unwrap(),
+        OutputPattern::new(framed(), vec![OutputItem::Var("x".into())]).unwrap(),
+        OutputPattern::vars(filtered_reach, ["x", "y"]).unwrap(),
+    ]
+}
+
+/// The store route answers every output exactly like the per-query
+/// `build_view` route and the reference evaluator, at 1/2/8 threads,
+/// plain and profiled — handed an *empty* database, so it can only
+/// answer from the store's own frozen graph. Returns the view-rebuild
+/// count the checks cost.
+fn assert_retained_route(
+    snap: &StoreSnapshot,
+    db: &Database,
+    outs: &[OutputPattern],
+    context: &str,
+) -> u64 {
+    let rebuilds = || snap.counters().snapshot().view_rebuilds;
+    let before = rebuilds();
+    let names = ["N", "E", "S", "T", "L", "P"];
+    let built = build_view(
+        &names.map(Query::rel),
+        ViewOp::Unary,
+        db,
+        EvalConfig::reference(),
+    )
+    .unwrap();
+    assert_eq!(
+        snap.view_graph("G").as_deref(),
+        Some(&built),
+        "{context}: retained graph"
+    );
+    let no_rows = Database::new();
+    for out in outs {
+        let q = Query::pattern_ro(out.clone(), names);
+        let reference = eval_with(&q, db, EvalConfig::reference()).map_err(|e| e.to_string());
+        for threads in [1usize, 2, 8] {
+            let cfg = EvalConfig::physical().with_threads(threads);
+            let rebuilt = eval_with(&q, db, cfg).map_err(|e| e.to_string());
+            assert_eq!(
+                rebuilt, reference,
+                "{context}: build_view route, {q} at {threads}"
+            );
+            let served = eval_with_store(&q, &no_rows, cfg, snap).map_err(|e| e.to_string());
+            assert_eq!(
+                served, reference,
+                "{context}: store route, {q} at {threads}"
+            );
+            let profiled = eval_with_store_profiled(&q, &no_rows, cfg, snap)
+                .map(|(rel, _)| rel)
+                .map_err(|e| e.to_string());
+            assert_eq!(profiled, reference, "{context}: profiled, {q} at {threads}");
+        }
+    }
+    rebuilds() - before
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The retained-graph differential: on random graphs and NFA-fragment
+    /// patterns, the store route (answering from the graph the entry
+    /// retains) ≡ the per-query `build_view` route ≡ the reference, at
+    /// 1/2/8 threads —
+    ///
+    /// 1. after `register_view_graph` (no rebuild);
+    /// 2. after `apply_updates`, which clears the retained graph: the
+    ///    first read rebuilds it once from the store's relations, every
+    ///    later read reuses it;
+    /// 3. after `insert_row`/`delete_row` refreezes (no rebuild);
+    /// 4. after `compact` (no rebuild);
+    /// 5. on the snapshot pinned at registration, which keeps answering
+    ///    from its own graph after all of the above.
+    #[test]
+    fn retained_view_graph_matches_build_view_and_reference(
+        g in arb_graph(),
+        p in arb_nfa_pattern(2),
+        seq in proptest::collection::vec(arb_canonical_update(), 0..6),
+    ) {
+        let outs = retained_route_outputs(&p);
+        let id = |i: i64| Tuple::unary(Value::int(i));
+        let mut rels = updates::relations_of(&g);
+        let db0 = db_of(&rels);
+        let store = ConcurrentStore::new(store_for(&db0));
+        let genesis = store.pin();
+        let genesis_graph: Arc<PropertyGraph> = genesis.view_graph("G").unwrap();
+        prop_assert_eq!(assert_retained_route(&genesis, &db0, &outs, "registered"), 0);
+
+        // Section 7 updates: the accepted prefix of the random ones,
+        // plus two that always apply.
+        let mut accepted: Vec<Update> = seq
+            .into_iter()
+            .filter(|u| updates::apply(&mut rels, u).is_ok())
+            .collect();
+        for u in [
+            Update::AddNode(id(777)),
+            Update::SetProp(id(777), Value::str("w"), Value::int(3)),
+        ] {
+            updates::apply(&mut rels, &u).unwrap();
+            accepted.push(u);
+        }
+        store.write(|s| s.apply_updates("G", &accepted)).unwrap();
+        let db = db_of(&rels);
+        prop_assert_eq!(assert_retained_route(&store.pin(), &db, &outs, "updated"), 1);
+
+        // Row-level mutations refreeze the entry from the relations.
+        let mut db = db;
+        let labelled = tuple![900, "L0"];
+        store
+            .write(|s| {
+                s.insert_row("N", &id(900))?;
+                s.insert_row("L", &labelled)?;
+                s.delete_row(&"N".into(), &id(777))?;
+                s.delete_row(&"P".into(), &tuple![777, "w", 3])
+            })
+            .unwrap();
+        db.insert("N", id(900)).unwrap();
+        db.insert("L", labelled).unwrap();
+        db.remove(&"N".into(), &id(777));
+        db.remove(&"P".into(), &tuple![777, "w", 3]);
+        prop_assert_eq!(assert_retained_route(&store.pin(), &db, &outs, "refrozen"), 0);
+
+        store.compact().unwrap();
+        prop_assert_eq!(assert_retained_route(&store.pin(), &db, &outs, "compacted"), 0);
+
+        prop_assert!(Arc::ptr_eq(&genesis.view_graph("G").unwrap(), &genesis_graph));
+        prop_assert_eq!(assert_retained_route(&genesis, &db0, &outs, "genesis pin"), 0);
+    }
 }
